@@ -126,61 +126,60 @@ let refinement_plan spec layout (func : P.func) =
     eligible_loops;
   (cfg, plan)
 
-(* objective: sum of cost * x over all blocks of all instances *)
-let objective spec insts ~select =
-  let layout = Layout.make spec.prog in
-  let cost_table = Hashtbl.create 16 in
-  let costs_for fname =
-    match Hashtbl.find_opt cost_table fname with
-    | Some c -> c
-    | None ->
-      let c =
-        Cost.func_bounds ~mach:spec.mach ?dcache:spec.dcache ~prog:spec.prog
-          spec.cache layout (P.find_func spec.prog fname)
-      in
-      Hashtbl.replace cost_table fname c;
-      c
-  in
+(* Objective (1): [Σ cost·x] over every block of every instance, zero-cost
+   blocks omitted. [cost] gives each block's coefficient, so a caller can
+   fold more than the block's own cycles into it. *)
+let objective insts ~cost =
   List.fold_left
     (fun acc (inst : Structural.instance) ->
-      let fname = inst.Structural.func.P.name in
-      let costs = costs_for fname in
       Array.fold_left
         (fun acc (b : P.block) ->
-          let c = select costs.(b.P.id) in
+          let c = cost inst b in
           if c = 0 then acc
           else
             L.add acc
               (L.var ~coeff:(Rat.of_int c)
                  (Flowvar.name
                     (Flowvar.Block
-                       { ctx = inst.Structural.ctx; func = fname; block = b.P.id }))))
+                       { ctx = inst.Structural.ctx;
+                         func = inst.Structural.func.P.name;
+                         block = b.P.id }))))
         acc inst.Structural.func.P.blocks)
     L.zero insts
+
+(* [f] of each function, computed once per function *)
+let per_func f =
+  let table = Hashtbl.create 16 in
+  fun (func : P.func) ->
+    match Hashtbl.find_opt table func.P.name with
+    | Some v -> v
+    | None ->
+      let v = f func in
+      Hashtbl.replace table func.P.name v;
+      v
+
+let func_costs spec layout =
+  per_func
+    (Cost.func_bounds ~mach:spec.mach ?dcache:spec.dcache ~prog:spec.prog
+       spec.cache layout)
+
+(* the objective charging each block [select] of its cost bounds *)
+let cost_objective spec insts ~select =
+  let costs = func_costs spec (Layout.make spec.prog) in
+  objective insts ~cost:(fun inst b ->
+    select (costs inst.Structural.func).(b.P.id))
 
 (* worst-case objective with the first-miss refinement enabled *)
 let refined_wcet_objective spec insts =
   let layout = Layout.make spec.prog in
-  let table = Hashtbl.create 16 in
-  let for_func fname =
-    match Hashtbl.find_opt table fname with
-    | Some v -> v
-    | None ->
-      let func = P.find_func spec.prog fname in
-      let costs =
-        Cost.func_bounds ~mach:spec.mach ?dcache:spec.dcache ~prog:spec.prog
-          spec.cache layout func
-      in
-      let cfg, plan = refinement_plan spec layout func in
-      let v = (func, costs, cfg, plan) in
-      Hashtbl.replace table fname v;
-      v
-  in
+  let costs_of = func_costs spec layout in
+  let plan_of = per_func (refinement_plan spec layout) in
   List.fold_left
     (fun acc (inst : Structural.instance) ->
       let fname = inst.Structural.func.P.name in
       let ctx = inst.Structural.ctx in
-      let _, costs, cfg, plan = for_func fname in
+      let costs = costs_of inst.Structural.func in
+      let cfg, plan = plan_of inst.Structural.func in
       Array.fold_left
         (fun acc (b : P.block) ->
           let x =
@@ -211,10 +210,10 @@ let refined_wcet_objective spec insts =
     L.zero insts
 
 let wcet_objective spec =
-  objective spec (instances spec) ~select:(fun b -> b.Cost.worst)
+  cost_objective spec (instances spec) ~select:(fun b -> b.Cost.worst)
 
 (* aggregate a solver assignment into per-(func, block) counts *)
-let counts_of_assignment insts assignment =
+let counts_of_assignment insts env =
   let table = Hashtbl.create 32 in
   List.iter
     (fun (inst : Structural.instance) ->
@@ -226,12 +225,12 @@ let counts_of_assignment insts assignment =
               (Flowvar.Block
                  { ctx = inst.Structural.ctx; func = fname; block = b.P.id })
           in
-          match List.assoc_opt name assignment with
-          | Some v when not (Rat.is_zero v) ->
+          let v = env name in
+          if not (Rat.is_zero v) then begin
             let key = (fname, b.P.id) in
             let cur = Option.value ~default:0 (Hashtbl.find_opt table key) in
             Hashtbl.replace table key (cur + Rat.to_int v)
-          | Some _ | None -> ())
+          end)
         inst.Structural.func.P.blocks)
     insts;
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) table [] |> List.sort compare
@@ -239,8 +238,7 @@ let counts_of_assignment insts assignment =
 (* constraints with zero slack at the optimum, excluding plain flow
    equations: these are the loop bounds and path facts that actually
    determine the reported extreme *)
-let binding_constraints constraints assignment =
-  let env = Ipet_lp.Simplex.assignment_env assignment in
+let binding_constraints constraints env =
   List.filter_map
     (fun (c : Lp.constr) ->
       match c.Lp.rel with
@@ -277,7 +275,10 @@ let canonical_witness ~pool problem value fallback =
    trusted checker validates the whole package. Production failure is an
    analysis error — the ILP was just solved to optimality, so its LP
    relaxation cannot be infeasible or unbounded — while a rejected
-   certificate is carried in the result for the caller to surface. *)
+   certificate is carried in the result for the caller to surface. Only
+   the emit/check times are recorded here: the verdict's metrics belong to
+   whoever surfaces it (Report's [cert.*] gauges, the daemon's
+   [serve.cert.*] counters). *)
 let certify_extreme ~dir_label problem value assignment =
   let produced, emit_seconds =
     Obs.timed (fun () ->
@@ -292,20 +293,10 @@ let certify_extreme ~dir_label problem value assignment =
     let labels = [ ("solver", dir_label) ] in
     Obs.observe ~labels "cert.emit_seconds" emit_seconds;
     Obs.observe ~labels "cert.check_seconds" check_seconds;
-    Obs.add ~labels
-      (match verdict with
-       | Ipet_cert.Checker.Valid _ -> "cert.valid"
-       | Ipet_cert.Checker.Invalid _ -> "cert.invalid")
-      1;
     { cert; verdict; emit_seconds; check_seconds }
 
-let solve_extreme spec insts base_constraints sets ~direction ~select ~pool
-    ~certify =
-  let obj =
-    if spec.first_miss_refinement && direction = Lp.Maximize then
-      refined_wcet_objective spec insts
-    else objective spec insts ~select
-  in
+let solve_extreme ?(canonical = true) ~pool ~certify spec insts problems =
+  let direction = (List.hd problems).Lp.direction in
   let better a b =
     match direction with
     | Lp.Maximize -> Rat.compare a b > 0
@@ -327,7 +318,14 @@ let solve_extreme spec insts base_constraints sets ~direction ~select ~pool
   let pv_before = ref 0 and pv_after = ref 0 in
   let pc_before = ref 0 and pc_after = ref 0 in
   let p_rounds = ref 0 in
-  let record_presolve problem (stats : Ilp.stats) =
+  let record problem (stats : Ilp.stats) =
+    incr solved;
+    lp_calls := !lp_calls + stats.Ilp.lp_calls;
+    nodes := !nodes + stats.Ilp.nodes;
+    pivots := !pivots + stats.Ilp.pivots;
+    refactors := !refactors + stats.Ilp.refactorizations;
+    whits := !whits + stats.Ilp.warm_hits;
+    wmisses := !wmisses + stats.Ilp.warm_misses;
     match stats.Ilp.presolve with
     | Some p ->
       pv_before := !pv_before + p.Ipet_lp.Presolve.vars_before;
@@ -342,81 +340,59 @@ let solve_extreme spec insts base_constraints sets ~direction ~select ~pool
       pc_before := !pc_before + nc;
       pc_after := !pc_after + nc
   in
-  (* Solving one set is pure: build the ILP, solve it, return everything
-     the accumulation needs. Sets fan out over the pool — disjunctive DNF
-     sets are independent problems — and the fold below walks the results
-     in set order, so the incumbent choice, the statistics and the
-     surfaced error are those of a sequential run whatever the job
-     count. *)
-  let solve_set set =
-    let set_constraints =
-      List.map
-        (fun atom -> Functional.atom_to_constr spec.prog insts ~root:spec.root atom)
-        set
-    in
-    let all_constraints = set_constraints @ base_constraints in
-    let problem = Lp.make direction obj all_constraints in
-    (problem, all_constraints, Ilp.solve ~presolve:spec.presolve ~pool problem)
-  in
-  let run_set (i, set) =
-    if not (Obs.enabled ()) then solve_set set
+  (* Sets fan out over the pool — disjunctive DNF sets are independent
+     problems — and the fold below walks the results in set order, so the
+     incumbent choice, the statistics and the surfaced error are those of
+     a sequential run whatever the job count. *)
+  let solve_set problem = Ilp.solve ~presolve:spec.presolve ~pool problem in
+  let run_set (i, problem) =
+    if not (Obs.enabled ()) then (problem, solve_set problem)
     else
       Obs.span "ilp.solve"
         ~args:[ ("solver", dir_label); ("set", string_of_int i) ]
         (fun () ->
-          let r, dt = Obs.timed (fun () -> solve_set set) in
+          let r, dt = Obs.timed (fun () -> solve_set problem) in
           Obs.observe
             ~labels:
               [ ("solver", dir_label);
                 ("domain", string_of_int (Ipet_par.Par_compat.domain_id ())) ]
             "lp.solve_seconds" dt;
-          r)
+          (problem, r))
   in
   let results =
-    Pool.map_list pool run_set (List.mapi (fun i set -> (i, set)) sets)
+    Pool.map_list pool run_set (List.mapi (fun i p -> (i, p)) problems)
   in
   List.iter
-    (fun (problem, all_constraints, result) ->
-      incr solved;
+    (fun (problem, result) ->
       match result with
       | Ilp.Optimal { value; assignment; stats } ->
-        lp_calls := !lp_calls + stats.Ilp.lp_calls;
-        nodes := !nodes + stats.Ilp.nodes;
-        pivots := !pivots + stats.Ilp.pivots;
-        refactors := !refactors + stats.Ilp.refactorizations;
-        whits := !whits + stats.Ilp.warm_hits;
-        wmisses := !wmisses + stats.Ilp.warm_misses;
-        record_presolve problem stats;
+        record problem stats;
         if not stats.Ilp.first_lp_integral then all_first := false;
         (match !best with
-         | Some (v, _, _, _) when not (better value v) -> ()
-         | Some _ | None ->
-           best := Some (value, assignment, all_constraints, problem))
+         | Some (v, _, _) when not (better value v) -> ()
+         | Some _ | None -> best := Some (value, assignment, problem))
       | Ilp.Infeasible stats ->
-        lp_calls := !lp_calls + stats.Ilp.lp_calls;
-        nodes := !nodes + stats.Ilp.nodes;
-        pivots := !pivots + stats.Ilp.pivots;
-        refactors := !refactors + stats.Ilp.refactorizations;
-        whits := !whits + stats.Ilp.warm_hits;
-        wmisses := !wmisses + stats.Ilp.warm_misses;
-        record_presolve problem stats;
+        record problem stats;
         incr infeasible
       | Ilp.Unbounded _ ->
         fail
           "ILP unbounded while computing %s: a loop bound or functionality \
            constraint is missing"
-          (match direction with Lp.Maximize -> "WCET" | Lp.Minimize -> "BCET"))
+          (String.uppercase_ascii dir_label))
     results;
   match !best with
   | None -> fail "every functionality constraint set is infeasible"
-  | Some (value, assignment, constraints, problem) ->
-    let assignment = canonical_witness ~pool problem value assignment in
+  | Some (value, assignment, problem) ->
+    let assignment =
+      if canonical then canonical_witness ~pool problem value assignment
+      else assignment
+    in
     let certificate =
       if certify then Some (certify_extreme ~dir_label problem value assignment)
       else None
     in
     let stats =
-      { sets_total = 0;  (* filled by caller *)
+      { sets_total = List.length problems;
         sets_pruned = 0;
         sets_solved = !solved;
         sets_infeasible = !infeasible;
@@ -433,43 +409,46 @@ let solve_extreme spec insts base_constraints sets ~direction ~select ~pool
         presolve_constrs_after = !pc_after;
         presolve_rounds = !p_rounds }
     in
+    let env = Ipet_lp.Simplex.assignment_env assignment in
     ( { cycles = Rat.to_int value;
-        counts = counts_of_assignment insts assignment;
-        binding = binding_constraints constraints assignment },
+        counts = counts_of_assignment insts env;
+        binding = binding_constraints problem.Lp.constraints env },
       stats,
       certificate )
+
+let loop_constraints spec insts =
+  match Annotation.constraints spec.prog insts spec.loop_bounds with
+  | cs, [] -> cs
+  | _, us ->
+    let render (u : Annotation.unbounded) =
+      if u.Annotation.header_line > 0 then
+        Printf.sprintf "%s (header at line %d)" u.Annotation.ufunc
+          u.Annotation.header_line
+      else
+        Printf.sprintf "%s (header block %d)" u.Annotation.ufunc
+          u.Annotation.header_block
+    in
+    fail "missing loop bounds for: %s" (String.concat ", " (List.map render us))
 
 let prepare spec =
   Obs.span "analysis.prepare" ~args:[ ("root", spec.root) ] (fun () ->
   let insts = instances spec in
   let structural = Structural.constraints spec.prog insts in
-  let loop_cs, unbounded = Annotation.constraints spec.prog insts spec.loop_bounds in
-  (match unbounded with
-   | [] -> ()
-   | us ->
-     let render (u : Annotation.unbounded) =
-       if u.Annotation.header_line > 0 then
-         Printf.sprintf "%s (header at line %d)" u.Annotation.ufunc
-           u.Annotation.header_line
-       else
-         Printf.sprintf "%s (header block %d)" u.Annotation.ufunc
-           u.Annotation.header_block
-     in
-     fail "missing loop bounds for: %s" (String.concat ", " (List.map render us)));
+  let loop_cs = loop_constraints spec insts in
   let sets = Functional.dnf spec.functional in
   let total = List.length sets in
   let sets, pruned = Functional.prune_null_sets sets in
   if sets = [] then fail "all %d functionality constraint sets are null" total;
   (insts, structural @ loop_cs, sets, total, pruned))
 
-let problems spec ~direction =
-  let insts, base, sets, _, _ = prepare spec in
+(* one ILP per surviving constraint set *)
+let set_problems spec insts base sets ~direction =
   let obj =
     match direction with
-    | Lp.Maximize ->
-      if spec.first_miss_refinement then refined_wcet_objective spec insts
-      else objective spec insts ~select:(fun b -> b.Cost.worst)
-    | Lp.Minimize -> objective spec insts ~select:(fun b -> b.Cost.best)
+    | Lp.Maximize when spec.first_miss_refinement ->
+      refined_wcet_objective spec insts
+    | Lp.Maximize -> cost_objective spec insts ~select:(fun b -> b.Cost.worst)
+    | Lp.Minimize -> cost_objective spec insts ~select:(fun b -> b.Cost.best)
   in
   List.map
     (fun set ->
@@ -481,28 +460,27 @@ let problems spec ~direction =
       Lp.make direction obj (cs @ base))
     sets
 
+let problems spec ~direction =
+  let insts, base, sets, _, _ = prepare spec in
+  set_problems spec insts base sets ~direction
+
 let wcet_problems spec = problems spec ~direction:Lp.Maximize
 let bcet_problems spec = problems spec ~direction:Lp.Minimize
 
 let analyze ?pool ?(certify = false) spec =
   let pool = match pool with Some p -> p | None -> Pool.default () in
   let insts, base, sets, total, pruned = prepare spec in
-  let wcet, wstats, wcet_cert =
-    Obs.span "analysis.wcet" ~args:[ ("root", spec.root) ] (fun () ->
-      solve_extreme spec insts base sets ~direction:Lp.Maximize
-        ~select:(fun b -> b.Cost.worst) ~pool ~certify)
+  let side direction span =
+    Obs.span span ~args:[ ("root", spec.root) ] (fun () ->
+      let ext, stats, cert =
+        solve_extreme ~pool ~certify spec insts
+          (set_problems spec insts base sets ~direction)
+      in
+      (ext, { stats with sets_total = total; sets_pruned = pruned }, cert))
   in
-  let bcet, bstats, bcet_cert =
-    Obs.span "analysis.bcet" ~args:[ ("root", spec.root) ] (fun () ->
-      solve_extreme spec insts base sets ~direction:Lp.Minimize
-        ~select:(fun b -> b.Cost.best) ~pool ~certify)
-  in
-  { wcet;
-    bcet;
-    wcet_stats = { wstats with sets_total = total; sets_pruned = pruned };
-    bcet_stats = { bstats with sets_total = total; sets_pruned = pruned };
-    wcet_cert;
-    bcet_cert }
+  let wcet, wcet_stats, wcet_cert = side Lp.Maximize "analysis.wcet" in
+  let bcet, bcet_stats, bcet_cert = side Lp.Minimize "analysis.bcet" in
+  { wcet; bcet; wcet_stats; bcet_stats; wcet_cert; bcet_cert }
 
 let estimated_bound ?pool spec =
   let r = analyze ?pool spec in

@@ -126,11 +126,48 @@ val analyze : ?pool:Ipet_par.Pool.t -> ?certify:bool -> spec -> result
     witnesses, and every statistic — is bit-identical for any pool size.
     [certify] (default [false]) additionally emits an exact duality
     certificate per extreme (see {!Ipet_cert.Certify}) and validates it
-    with the trusted checker; check time and verdicts are surfaced as
-    [cert.*] observability metrics.
+    with the trusted checker; emit and check times are recorded as the
+    [cert.emit_seconds] and [cert.check_seconds] histograms.
     @raise Analysis_error when a loop lacks a bound annotation, a
     functionality constraint does not resolve, every constraint set is
     infeasible, the ILP is unbounded, or certificate production fails. *)
+
+(** {1 Building blocks}
+
+    The pieces {!analyze} is made of, for callers that build their own
+    ILPs over a subset of instances — the analysis daemon solves each
+    function alone, entered once, with its callees' per-entry cycles
+    folded into the call blocks' costs. *)
+
+val objective :
+  Structural.instance list ->
+  cost:(Structural.instance -> Ipet_isa.Prog.block -> int) ->
+  Ipet_lp.Linexpr.t
+(** [Σ cost·x_i] over every block of every instance; zero-cost blocks are
+    omitted. *)
+
+val loop_constraints :
+  spec -> Structural.instance list -> Ipet_lp.Lp_problem.constr list
+(** The constraints [spec.loop_bounds] put on the loops of [insts].
+    @raise Analysis_error naming every loop that has no bound. *)
+
+val solve_extreme :
+  ?canonical:bool ->
+  pool:Ipet_par.Pool.t ->
+  certify:bool ->
+  spec ->
+  Structural.instance list ->
+  Ipet_lp.Lp_problem.t list ->
+  extreme * solver_stats * certificate option
+(** Solve a non-empty list of same-direction ILPs over [insts] (one per
+    constraint set) and return the extreme, its binding constraints, the
+    summed solver statistics ([sets_total] is the list length,
+    [sets_pruned] 0) and, when [certify], the winning ILP's checked
+    certificate. [canonical] (default [true]) re-solves the winner on its
+    optimal face for the canonical witness {!extreme.counts} describes;
+    [false] keeps the solver's own optimum and skips that re-solve.
+    @raise Analysis_error when every ILP is infeasible, one is unbounded,
+    or certificate production fails. *)
 
 val estimated_bound : ?pool:Ipet_par.Pool.t -> spec -> int * int
 (** [(bcet, wcet)] — the paper's estimated bound [[t_min, t_max]]. *)

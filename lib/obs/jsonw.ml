@@ -21,7 +21,7 @@ let num f =
     if Float.is_integer f && Float.abs f < 1e15 then
       Printf.sprintf "%.0f" f
     else Printf.sprintf "%.6g" f
-  else "0"
+  else "null"
 
 let obj fields =
   "{"

@@ -3,8 +3,12 @@
     The monolithic {!Ipet.Analysis.analyze} expands every call path and
     solves one whole-program ILP — the right shape for a one-shot CLI run,
     the wrong shape for a daemon asked to re-analyze a program after a
-    one-function edit. This module decomposes the analysis into {e units}
-    keyed by {!Key} and persists each unit's result in a {!Cache}:
+    one-function edit. This module is a cache layer over
+    {!Ipet.Analysis}: it splits a request into {e units} keyed by {!Key},
+    gets and puts each unit's result in a {!Cache}, re-validates cached
+    certificates, and aggregates the units' witnesses. Every ILP is built,
+    solved, certified and checked by {!Ipet.Analysis}, along one solve
+    path:
 
     - {b per-function units} (the common case): every function reachable
       from the root is solved in isolation with its entry edge pinned to 1,
@@ -17,15 +21,21 @@
       monolithic ILP decomposes by instance (empirically: on the whole
       benchmark suite the two agree). A request that edits one function
       re-solves only the units whose keys changed — typically exactly one.
+      A unit's witness is the solver's own optimum, not the CLI's
+      canonical one.
     - {b one whole-program unit} (fallback): functionality constraints and
       the first-miss refinement couple flow variables across functions, so
-      those requests run the monolithic analysis and cache it as a single
-      unit keyed by {!Key.program_key}.
+      those requests run the monolithic analysis as a single unit keyed by
+      {!Key.program_key}.
 
-    Witness counts are aggregated callers-first: a function's per-entry
-    witness counts are scaled by the number of entries its callers'
-    witnesses induce. All report content is deterministic — a warm re-run
-    of an identical request is byte-identical to the cold run. *)
+    Both kinds share one cache record (schema 4): per extreme, the cycles,
+    the witness counts keyed by (function, block), the binding constraint
+    origins and the serialized certificate. Both go through one report
+    path: a function's per-entry counts are scaled by the number of
+    entries its callers' witnesses induce, callers first, and the program
+    unit, the only unit of its request, enters once. All report content is
+    deterministic — a warm re-run of an identical request is
+    byte-identical to the cold run. *)
 
 exception Timeout
 (** Raised (between unit solves — cooperative, never mid-simplex) when the

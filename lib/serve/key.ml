@@ -3,8 +3,9 @@ module Instr = Ipet_isa.Instr
 module Icache = Ipet_machine.Icache
 module Cost = Ipet_machine.Cost
 
-(* v3: the machine id joined the cost model (machine-parametric analysis) *)
-let schema = 3
+(* v4: function and program units share one cache record, counts keyed by
+   (function, block) *)
+let schema = 4
 
 let add_cache buf (c : Icache.config) =
   Buffer.add_string buf

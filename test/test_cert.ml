@@ -250,6 +250,83 @@ let certified_suite jobs () =
           side "bcet" r.A.bcet.A.cycles r.A.bcet_cert)
         Ipet_suite.Suite.all)
 
+(* --- the CLI: --certify with observability on --------------------------- *)
+
+let cli_source =
+  {|int data[10];
+int check_data() {
+  int i; int morecheck; int wrongone;
+  morecheck = 1;  i = 0;  wrongone = 0 - 1;
+  while (morecheck) {
+    if (data[i] < 0) { wrongone = i; morecheck = 0; }
+    else { i = i + 1; if (i >= 10) morecheck = 0; }
+  }
+  if (wrongone >= 0) return 0;
+  return 1;
+}
+|}
+
+let write_file path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* both observability flags register metrics next to the certificate's: a
+   metric registered under two kinds used to abort the run *)
+let test_cli_certify_observed () =
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name)
+      "../bin/cinderella.exe"
+  in
+  let dir = Filename.temp_file "cert-cli" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let file name = Filename.concat dir name in
+  write_file (file "p.mc") cli_source;
+  write_file (file "p.ann") "root check_data\nloop check_data 5 1 10\n";
+  List.iter
+    (fun (mach, flag) ->
+      let what = Printf.sprintf "%s %s" mach flag in
+      let out = file "out.json" and stdout_path = file "stdout.txt" in
+      let fd =
+        Unix.openfile stdout_path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ]
+          0o644
+      in
+      let pid =
+        Unix.create_process exe
+          [| exe; "analyze"; "--certify"; "--mach"; mach; flag; out; "-a";
+             file "p.ann"; file "p.mc" |]
+          Unix.stdin fd fd
+      in
+      Unix.close fd;
+      (match Unix.waitpid [] pid with
+       | _, Unix.WEXITED 0 -> ()
+       | _, (Unix.WEXITED n | Unix.WSIGNALED n | Unix.WSTOPPED n) ->
+         Alcotest.failf "%s: exit %d\n%s" what n (read_file stdout_path));
+      let report = read_file stdout_path in
+      List.iter
+        (fun line ->
+          check_bool (Printf.sprintf "%s: %s" what line) true
+            (contains report line))
+        [ "wcet certificate: valid"; "bcet certificate: valid" ];
+      check_bool (what ^ ": the written document parses") true
+        (Result.is_ok (J.parse (read_file out))))
+    [ ("e32", "--metrics-out"); ("e32", "--trace-out");
+      ("m7", "--metrics-out"); ("m7", "--trace-out") ]
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_mutated_dual; prop_mutated_witness; prop_mutated_coefficient ]
@@ -263,5 +340,7 @@ let suite =
     ("serialization round trip", `Quick, test_roundtrip);
     ("JSON export", `Quick, test_json_export);
     ("all 13 benchmarks certify at --jobs 1", `Slow, certified_suite 1);
-    ("all 13 benchmarks certify at --jobs 4", `Slow, certified_suite 4) ]
+    ("all 13 benchmarks certify at --jobs 4", `Slow, certified_suite 4);
+    ("CLI --certify with --metrics-out and --trace-out", `Quick,
+     test_cli_certify_observed) ]
   @ props

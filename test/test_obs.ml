@@ -299,6 +299,21 @@ let test_metrics_json_schema_stable () =
   let spans = as_arr (field "spans" json) in
   check_int "span totals present" 1 (List.length spans)
 
+(* histogram min/max/sum record samples exactly, so a non-finite sample
+   must reach the document as null, never as a false number *)
+let test_metrics_json_nonfinite () =
+  let r = Metrics.create () in
+  Metrics.observe (Metrics.histogram r "latency") infinity;
+  let json = parse_json (Sink.metrics_json ~span_totals:[] r) in
+  match as_arr (field "metrics" json) with
+  | [ m ] ->
+    List.iter
+      (fun name ->
+        check_bool (name ^ " of an infinite sample is null") true
+          (field name m = Jnull))
+      [ "sum"; "max" ]
+  | _ -> Alcotest.fail "expected one metric"
+
 let test_histogram_quantiles () =
   let r = Metrics.create () in
   let h = Metrics.histogram r "latency" in
@@ -616,4 +631,6 @@ let suite =
     ("trace-event track labels", `Quick, test_trace_event_track_labels);
     ("diagnostics rendering", `Quick, test_diag_rendering);
     ("profiled simulator attribution", `Quick, test_profile_attribution_exact);
-    ("attribution report", `Quick, test_attribution_report) ]
+    ("attribution report", `Quick, test_attribution_report);
+    ("metrics JSON non-finite values are null", `Quick,
+     test_metrics_json_nonfinite) ]

@@ -248,20 +248,25 @@ let bounds_of_report rep =
 
 let test_matches_monolithic () =
   List.iter
-    (fun name ->
-      let spec = Bspec.spec (Ipet_suite.Suite.find name) in
-      (* the per-function decomposition path: these benchmarks carry no
-         functionality constraints *)
-      let spec = { spec with A.functional = [] } in
-      let mono = A.estimated_bound spec in
-      let rep, stats = Incr.analyze spec in
-      Alcotest.(check (pair int int))
-        (name ^ ": incremental bounds equal the monolithic analysis")
-        mono (bounds_of_report rep);
-      check_bool (name ^ ": decomposed per function") true
-        (stats.Incr.units_total > 0
-         && J.member "unit" rep = Some (J.Str "func")))
-    [ "circle"; "line"; "des"; "recon" ]
+    (fun (b : Bspec.t) ->
+      List.iter
+        (fun mach ->
+          let name =
+            Printf.sprintf "%s/%s" b.Bspec.name (Ipet_machine.Machine.id mach)
+          in
+          (* the per-function decomposition path: functionality constraints
+             would fall back to one program unit *)
+          let spec = { (Bspec.spec ~mach b) with A.functional = [] } in
+          let mono = A.estimated_bound spec in
+          let rep, stats = Incr.analyze spec in
+          Alcotest.(check (pair int int))
+            (name ^ ": incremental bounds equal the monolithic analysis")
+            mono (bounds_of_report rep);
+          check_bool (name ^ ": decomposed per function") true
+            (stats.Incr.units_total > 0
+             && J.member "unit" rep = Some (J.Str "func")))
+        [ Ipet_machine.Machine.e32; Ipet_machine.Machine.m7 ])
+    Ipet_suite.Suite.all
 
 let test_functional_fallback () =
   (* check_data's functionality constraints couple functions, so the
@@ -381,24 +386,9 @@ let write_file path s =
   output_string oc s;
   close_out oc
 
-let test_cert_self_heal () =
-  let cache =
-    Cache.create ~dir:(tmp_dir "serve-cert-heal") ~cap_bytes:(16 * 1024 * 1024)
-  in
-  let spec = edit_spec (edit_source 3) in
-  let cold_rep, cold = Incr.analyze ~cache spec in
-  check_int "cold run proves every bound it computed"
-    (2 * cold.Incr.units_solved) cold.Incr.certs_checked;
-  check_int "cold run rejects nothing" 0 cold.Incr.certs_rejected;
-  let warm_rep, warm = Incr.analyze ~cache spec in
-  check_int "warm run solves nothing" 0 warm.Incr.units_solved;
-  check_int "warm bounds are re-proven, not trusted"
-    (2 * warm.Incr.units_cached) warm.Incr.certs_checked;
-  check_int "warm run rejects nothing" 0 warm.Incr.certs_rejected;
-  check_string "warm report is byte-identical" (J.to_string cold_rep)
-    (J.to_string warm_rep);
-  (* tamper with one cached certificate: the engine must notice, drop the
-     entry, and re-solve — never serve a bound it cannot re-prove *)
+(* replace the wcet certificate of the first cache entry (in name order)
+   with garbage *)
+let tamper_first_entry cache =
   let dir = Cache.dir cache in
   let entry =
     Sys.readdir dir |> Array.to_list
@@ -423,9 +413,29 @@ let test_cert_self_heal () =
            fields)
     | _ -> Alcotest.fail "cache entry is not an object"
   in
-  (match J.parse (read_file path) with
-   | Ok j -> write_file path (J.to_string (tamper j))
-   | Error m -> Alcotest.failf "unparsable cache entry: %s" m);
+  match J.parse (read_file path) with
+  | Ok j -> write_file path (J.to_string (tamper j))
+  | Error m -> Alcotest.failf "unparsable cache entry: %s" m
+
+let test_cert_self_heal () =
+  let cache =
+    Cache.create ~dir:(tmp_dir "serve-cert-heal") ~cap_bytes:(16 * 1024 * 1024)
+  in
+  let spec = edit_spec (edit_source 3) in
+  let cold_rep, cold = Incr.analyze ~cache spec in
+  check_int "cold run proves every bound it computed"
+    (2 * cold.Incr.units_solved) cold.Incr.certs_checked;
+  check_int "cold run rejects nothing" 0 cold.Incr.certs_rejected;
+  let warm_rep, warm = Incr.analyze ~cache spec in
+  check_int "warm run solves nothing" 0 warm.Incr.units_solved;
+  check_int "warm bounds are re-proven, not trusted"
+    (2 * warm.Incr.units_cached) warm.Incr.certs_checked;
+  check_int "warm run rejects nothing" 0 warm.Incr.certs_rejected;
+  check_string "warm report is byte-identical" (J.to_string cold_rep)
+    (J.to_string warm_rep);
+  (* tamper with one cached certificate: the engine must notice, drop the
+     entry, and re-solve — never serve a bound it cannot re-prove *)
+  tamper_first_entry cache;
   let healed_rep, healed = Incr.analyze ~cache spec in
   check_bool "the tampered certificate was rejected" true
     (healed.Incr.certs_rejected >= 1);
@@ -433,6 +443,35 @@ let test_cert_self_heal () =
     healed.Incr.units_solved;
   check_string "the healed report is byte-identical" (J.to_string cold_rep)
     (J.to_string healed_rep)
+
+(* the whole-program unit (check_data's functionality constraints couple
+   its functions) heals the same way: its one entry holds a certificate per
+   extreme, checked against the constraint set its digest names *)
+let test_program_unit_self_heal () =
+  let cache =
+    Cache.create ~dir:(tmp_dir "serve-cert-heal-program")
+      ~cap_bytes:(16 * 1024 * 1024)
+  in
+  let spec = Bspec.spec (Ipet_suite.Suite.find "check_data") in
+  check_bool "check_data carries functionality constraints" true
+    (spec.A.functional <> []);
+  let cold_rep, cold = Incr.analyze ~cache spec in
+  check_int "one program unit, solved" 1 cold.Incr.units_solved;
+  tamper_first_entry cache;
+  let healed_rep, healed = Incr.analyze ~cache spec in
+  check_int "the tampered certificate was rejected" 1
+    healed.Incr.certs_rejected;
+  check_int "the unit was re-solved once" 1 healed.Incr.units_solved;
+  check_int "nothing was served from the tampered entry" 0
+    healed.Incr.units_cached;
+  check_bool "the bounds are unchanged" true
+    (bounds_of_report healed_rep = bounds_of_report cold_rep);
+  check_string "the healed report is byte-identical" (J.to_string cold_rep)
+    (J.to_string healed_rep);
+  let _, warm = Incr.analyze ~cache spec in
+  check_int "the re-stored entry serves the next request" 1
+    warm.Incr.units_cached;
+  check_int "and its certificates check" 0 warm.Incr.certs_rejected
 
 let test_tmp_sweep () =
   (* a writer that dies between open and rename leaves "*.tmp" files the
@@ -1017,4 +1056,6 @@ let suite =
     Alcotest.test_case "daemon: both machines in one session" `Quick
       test_socket_both_machines;
     Alcotest.test_case "daemon: SIGTERM flushes every sink" `Quick
-      test_sigterm_flush ]
+      test_sigterm_flush;
+    Alcotest.test_case "certificates: a tampered program unit heals" `Quick
+      test_program_unit_self_heal ]
