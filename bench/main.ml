@@ -724,7 +724,7 @@ let export dir =
 
 (* --- serve load generator ------------------------------------------------ *)
 
-module J = Ipet_serve.Json
+module J = Ipet_obs.Json
 
 (* One analyze request line per paper benchmark (loop bounds only, like
    [export]: the functional-constraint DSL has no textual serialization).
@@ -1028,7 +1028,7 @@ let bench_serve ~jobs ~check =
 (* Fuzz-generated programs at multiples of the fuzzing default size
    ([Gen.case_sized]), analyzed with presolve disabled so the raw LP
    dimensions reach the solver. Per tier, every WCET ILP relaxation is
-   solved by the historical dense tableau ({!Ipet_lp.Dense}) and by the
+   solved by the historical dense tableau ({!Ipet_lp_dense.Dense}) and by the
    sparse revised simplex ({!Ipet_lp.Simplex}), checking the optima
    agree; the branch-and-bound warm-start path is probed by re-solving
    child problems — the parent with one structural variable's upper
@@ -1214,12 +1214,12 @@ let lp_bench ~check () =
           if not measure_dense || sizes_only then None
           else begin
             let dense, wall =
-              lp_time (fun () -> List.map Ipet_lp.Dense.solve problems)
+              lp_time (fun () -> List.map Ipet_lp_dense.Dense.solve problems)
             in
             List.iter2
               (fun d r ->
                 match (d, r) with
-                | Ipet_lp.Dense.Optimal { value = dv; _ },
+                | Ipet_lp_dense.Dense.Optimal { value = dv; _ },
                   Ipet_lp.Simplex.Optimal { value = rv; _ } ->
                   if not (Rat.equal dv rv) then begin
                     Printf.eprintf
@@ -1227,8 +1227,8 @@ let lp_bench ~check () =
                       name (Rat.to_string dv) (Rat.to_string rv);
                     exit 1
                   end
-                | Ipet_lp.Dense.Infeasible, Ipet_lp.Simplex.Infeasible
-                | Ipet_lp.Dense.Unbounded, Ipet_lp.Simplex.Unbounded -> ()
+                | Ipet_lp_dense.Dense.Infeasible, Ipet_lp.Simplex.Infeasible
+                | Ipet_lp_dense.Dense.Unbounded, Ipet_lp.Simplex.Unbounded -> ()
                 | _ ->
                   Printf.eprintf
                     "bench lp: dense/revised verdict mismatch in %s\n" name;

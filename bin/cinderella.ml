@@ -719,7 +719,7 @@ let serve_cmd obs socket cache_dir no_cache cache_cap timeout_ms access_log
      | None -> "disabled");
   Ipet_serve.Server.run config
 
-module J = Ipet_serve.Json
+module J = Ipet_obs.Json
 
 let trace_fields = function
   | None -> []

@@ -1,5 +1,5 @@
 (* The trusted base: this module must stay independent of the simplex
-   implementations (Revised/Dense/Presolve/Sparse) — it sees only the
+   implementations (Revised/Presolve/Sparse) — it sees only the
    problem representation and exact rationals. Keep it that way. *)
 
 open Ipet_num

@@ -2,8 +2,8 @@
 
     Validates a {!Certificate.t} against the original (pre-presolve)
     problem in exact rational arithmetic, using nothing but the problem
-    representation — no {!Ipet_lp.Revised}, {!Ipet_lp.Dense} or
-    {!Ipet_lp.Presolve} — so a bug in the solver chain cannot also hide
+    representation — no {!Ipet_lp.Revised} or {!Ipet_lp.Presolve} —
+    so a bug in the solver chain cannot also hide
     in its own audit.
 
     What a [Valid] verdict establishes, for a [Maximize] problem (all

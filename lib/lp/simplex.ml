@@ -3,8 +3,8 @@
    factorization). The pivot trajectory — Bland entering rule, min-ratio
    leaving rule with ties to the smallest basic column, phase-1 then
    drive-artificials-out then phase-2 — replicates the historical dense
-   tableau (kept as {!Dense}) exactly, so optimal assignments, not just
-   values, are unchanged. *)
+   tableau ([Ipet_lp_dense.Dense], kept under test/) exactly, so optimal
+   assignments, not just values, are unchanged. *)
 
 open Ipet_num
 

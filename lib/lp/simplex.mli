@@ -5,11 +5,12 @@
     non-negative). Bland's anti-cycling rule guarantees termination, and
     all arithmetic is exact, so the solver either returns a true optimum
     or a correct infeasible/unbounded verdict. The pivot trajectory is
-    identical to the historical dense tableau ({!Dense}), so results —
-    including the particular optimal vertex returned — are unchanged;
-    only the cost per pivot is: the constraint matrix is held as sparse
-    columns and the basis inverse as an eta-file factorization with
-    periodic refactorization. *)
+    identical to the historical dense tableau ([Ipet_lp_dense.Dense],
+    kept outside this library as the differential oracle of the tests
+    and of [bench lp]), so results — including the particular optimal
+    vertex returned — are unchanged; only the cost per pivot is: the
+    constraint matrix is held as sparse columns and the basis inverse as
+    an eta-file factorization with periodic refactorization. *)
 
 open Ipet_num
 

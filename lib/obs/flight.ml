@@ -48,30 +48,29 @@ let recent ?(n = max_int) t =
           | None -> assert false (* slots below [total] are always filled *)))
 
 let event_json (seq, e) =
-  Jsonw.obj
-    ([ ("seq", string_of_int seq);
-       ("time", Jsonw.num e.time);
-       ("id", Jsonw.str e.id);
-       ("op", Jsonw.str e.op) ]
-     @ (if e.root = "" then [] else [ ("root", Jsonw.str e.root) ])
-     @ [ ("digests", Jsonw.arr (List.map Jsonw.str e.digests));
-         ("units_total", string_of_int e.units_total);
-         ("units_cached", string_of_int e.units_cached);
-         ("units_solved", string_of_int e.units_solved);
-         ("warm_lp_hits", string_of_int e.warm_hits);
-         ("pivots", string_of_int e.pivots);
-         ("certs_checked", string_of_int e.certs_checked);
-         ("certs_rejected", string_of_int e.certs_rejected);
-         ("latency_ms", Jsonw.num e.latency_ms) ]
-     @ (match e.error with
-        | None -> []
-        | Some code -> [ ("error", Jsonw.str code) ]))
+  Json.Obj
+    ([ ("seq", Json.Int seq);
+       ("time", Json.Float e.time);
+       ("id", Json.Str e.id);
+       ("op", Json.Str e.op) ]
+     @ (if e.root = "" then [] else [ ("root", Json.Str e.root) ])
+     @ [ ("digests", Json.List (List.map (fun d -> Json.Str d) e.digests));
+         ("units_total", Json.Int e.units_total);
+         ("units_cached", Json.Int e.units_cached);
+         ("units_solved", Json.Int e.units_solved);
+         ("warm_lp_hits", Json.Int e.warm_hits);
+         ("pivots", Json.Int e.pivots);
+         ("certs_checked", Json.Int e.certs_checked);
+         ("certs_rejected", Json.Int e.certs_rejected);
+         ("latency_ms", Json.Float e.latency_ms) ]
+     @
+     match e.error with None -> [] | Some code -> [ ("error", Json.Str code) ])
 
 let dump t =
   let buf = Buffer.create 1024 in
   List.iter
     (fun ev ->
-      Buffer.add_string buf (event_json ev);
+      Buffer.add_string buf (Json.to_string (event_json ev));
       Buffer.add_char buf '\n')
     (List.rev (recent t));
   Buffer.contents buf

@@ -46,8 +46,9 @@ val recent : ?n:int -> t -> (int * event) list
 (** The newest [n] (default: all retained) events, newest first, each with
     its sequence number. *)
 
-val event_json : int * event -> string
-(** One event as a single-line JSON object (the JSONL dump row). *)
+val event_json : int * event -> Json.t
+(** One event as a JSON object: the row of the JSONL dump and of the
+    daemon's [recent] op, so both print the same bytes. *)
 
 val dump : t -> string
 (** The retained events as JSONL, oldest first. *)

@@ -1,12 +1,15 @@
-(** Minimal JSON values for the serve protocol: a parser and a
-    deterministic printer, with no dependency beyond the stdlib.
+(** The one JSON module: a parser and a deterministic printer, with no
+    dependency beyond the stdlib. Every JSON value the observability sinks,
+    the flight recorder and the serve protocol emit is built as a {!t} and
+    printed here, so escaping and number rendering have one definition.
 
     The printer is the inverse of the parser on the supported value space
     and renders object fields in the order given — responses built from
     the same data are byte-identical, which the cold/warm determinism
     guarantee of the analysis cache relies on. Integers are kept distinct
     from floats so execution counts round-trip exactly through cache
-    files. *)
+    files; a {!Float} prints as the shortest decimal that reads back as
+    the same float, and a non-finite one as [null]. *)
 
 type t =
   | Null
@@ -25,6 +28,12 @@ val parse : string -> (t, string) result
 
 val to_string : t -> string
 (** Compact rendering (no added whitespace), object fields in order. *)
+
+val to_string_lines : t -> string
+(** The file-artifact rendering of a document: a top-level object prints
+    one field per line, and each non-empty list-valued field one element
+    per line; everything deeper is compact as in {!to_string}. Ends with a
+    newline. Parses back to the same value. *)
 
 (** {1 Accessors} (all total; [None] on shape mismatch) *)
 

@@ -19,11 +19,17 @@ val human : ?filter:(string -> bool) -> Metrics.t -> string
 (** Render the registry as text; [filter] selects metric names
     (default: all). *)
 
-val metrics_json :
-  ?span_totals:(string * (int * int)) list -> Metrics.t -> string
+val metrics_doc :
+  ?span_totals:(string * (int * int)) list -> Metrics.t -> Json.t
 (** The machine document: [{"version": 1, "metrics": [...], "spans": [...]}].
     [span_totals] is {!Span.totals} output: per-name completion counts and
-    total microseconds. *)
+    total microseconds. Values are exact: a gauge or histogram figure
+    reads back as the float that was recorded. *)
+
+val metrics_json :
+  ?span_totals:(string * (int * int)) list -> Metrics.t -> string
+(** {!metrics_doc} rendered by {!Json.to_string_lines}: one metric per
+    line under the ["version": 1] header. *)
 
 val prometheus : Metrics.t -> string
 (** Render the registry in the Prometheus text exposition format: a

@@ -2,25 +2,25 @@ let event (s : Span.completed) =
   let args =
     match s.Span.args with
     | [] -> []
-    | kvs -> [ ("args", Jsonw.obj (List.map (fun (k, v) -> (k, Jsonw.str v)) kvs)) ]
+    | kvs -> [ ("args", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) kvs)) ]
   in
-  Jsonw.obj
-    ([ ("name", Jsonw.str s.Span.name);
-       ("cat", Jsonw.str "ipet");
-       ("ph", Jsonw.str "X");
-       ("pid", "1");
-       ("tid", string_of_int s.Span.tid);
-       ("ts", string_of_int s.Span.start_us);
-       ("dur", string_of_int s.Span.dur_us) ]
+  Json.Obj
+    ([ ("name", Json.Str s.Span.name);
+       ("cat", Json.Str "ipet");
+       ("ph", Json.Str "X");
+       ("pid", Json.Int 1);
+       ("tid", Json.Int s.Span.tid);
+       ("ts", Json.Int s.Span.start_us);
+       ("dur", Json.Int s.Span.dur_us) ]
      @ args)
 
 let metadata ?(tid = 0) name value =
-  Jsonw.obj
-    [ ("name", Jsonw.str name);
-      ("ph", Jsonw.str "M");
-      ("pid", "1");
-      ("tid", string_of_int tid);
-      ("args", Jsonw.obj [ ("name", Jsonw.str value) ]) ]
+  Json.Obj
+    [ ("name", Json.Str name);
+      ("ph", Json.Str "M");
+      ("pid", Json.Int 1);
+      ("tid", Json.Int tid);
+      ("args", Json.Obj [ ("name", Json.Str value) ]) ]
 
 let to_string ?(process_name = "cinderella") ?(track_names = []) spans =
   let sorted =
@@ -42,6 +42,6 @@ let to_string ?(process_name = "cinderella") ?(track_names = []) spans =
   let events =
     (metadata "process_name" process_name :: thread_names) @ List.map event sorted
   in
-  "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n  "
-  ^ String.concat ",\n  " events
-  ^ "\n]}\n"
+  Json.to_string_lines
+    (Json.Obj
+       [ ("displayTimeUnit", Json.Str "ms"); ("traceEvents", Json.List events) ])

@@ -1,4 +1,5 @@
 module Obs = Ipet_obs.Obs
+module Json = Ipet_obs.Json
 
 type entry = { mutable size : int; mutable seq : int }
 

@@ -20,10 +20,10 @@ val create : dir:string -> cap_bytes:int -> t
     are swept on open — they are rename-source temporaries, never valid
     entries. *)
 
-val get : t -> string -> Json.t option
+val get : t -> string -> Ipet_obs.Json.t option
 (** Look up a key, refreshing its recency. *)
 
-val put : t -> string -> Json.t -> unit
+val put : t -> string -> Ipet_obs.Json.t -> unit
 (** Store a value under a key, evicting least-recently-used entries while
     the cap is exceeded (the new entry itself is never evicted by its own
     insertion). Idempotent for an existing key. *)

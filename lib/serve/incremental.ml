@@ -7,6 +7,7 @@ module Lp = Ipet_lp.Lp_problem
 module Rat = Ipet_num.Rat
 module A = Ipet.Analysis
 module Obs = Ipet_obs.Obs
+module Json = Ipet_obs.Json
 module Cert = Ipet_cert.Certificate
 module Checker = Ipet_cert.Checker
 
@@ -256,7 +257,8 @@ let program_unit ~pool ~counter ~cache ~deadline (spec : A.spec) =
   let key =
     Key.program_key ~mach:(Machine.id spec.A.mach) ~cache:spec.A.cache
       ~dcache:spec.A.dcache ~root:spec.A.root
-      ~annotations:spec.A.loop_bounds ~functional:spec.A.functional spec.A.prog
+      ~annotations:spec.A.loop_bounds ~functional:spec.A.functional
+      ~first_miss:spec.A.first_miss_refinement spec.A.prog
   in
   cached_or_solve ~counter ~cache key
     ~problems:(fun () -> (A.wcet_problems spec, A.bcet_problems spec))

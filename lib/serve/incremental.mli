@@ -66,7 +66,7 @@ val analyze :
   ?cache:Cache.t ->
   ?deadline:float ->
   Ipet.Analysis.spec ->
-  Json.t * stats
+  Ipet_obs.Json.t * stats
 (** Analyze a request, consulting and filling [cache] (no caching when
     omitted). [deadline] is an absolute {!Unix.gettimeofday} instant. The
     returned JSON is the report — schema, root, unit kind, [bcet]/[wcet]

@@ -3,9 +3,10 @@ module Instr = Ipet_isa.Instr
 module Icache = Ipet_machine.Icache
 module Cost = Ipet_machine.Cost
 
-(* v4: function and program units share one cache record, counts keyed by
-   (function, block) *)
-let schema = 4
+(* v5: the program key hashes the first-miss refinement flag (v4: function
+   and program units share one cache record, counts keyed by (function,
+   block)) *)
+let schema = 5
 
 let add_cache buf (c : Icache.config) =
   Buffer.add_string buf
@@ -84,11 +85,12 @@ let func_key ~mach ~cache ~dcache ~costs ~annotations ~callees f =
        (func_bytes ~mach ~cache ~dcache ~costs ~annotations ~callees f))
 
 let program_key ~mach ~cache ~dcache ~root ~annotations ~functional
-    (prog : P.t) =
+    ~first_miss (prog : P.t) =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
     (Printf.sprintf "ipet-serve-key v%d unit=program root=%s\n" schema root);
   add_cost_model buf ~mach ~cache ~dcache;
+  Buffer.add_string buf (Printf.sprintf "first_miss %b\n" first_miss);
   Array.iter
     (fun (f : P.func) ->
       add_func buf f;

@@ -48,11 +48,16 @@ val program_key :
   root:string ->
   annotations:Ipet.Annotation.t list ->
   functional:Ipet.Functional.t list ->
+  first_miss:bool ->
   Ipet_isa.Prog.t ->
   string
 (** Hex digest for a whole-program (monolithic) analysis unit — the
-    fallback granularity used when functionality constraints couple
-    functions and a per-function decomposition would be unsound. *)
+    fallback granularity used when functionality constraints or the
+    first-miss refinement couple functions and a per-function
+    decomposition would be unsound. [first_miss] is hashed because the
+    refinement changes the ILP: without it a request and the same request
+    with the refinement would share a key and reject each other's cached
+    certificates. *)
 
 val func_bytes :
   mach:string ->

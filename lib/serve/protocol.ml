@@ -4,6 +4,7 @@ module Icache = Ipet_machine.Icache
 module Machine = Ipet_machine.Machine
 module P = Ipet_isa.Prog
 module Obs = Ipet_obs.Obs
+module Json = Ipet_obs.Json
 module Flight = Ipet_obs.Flight
 
 type totals = {
@@ -327,39 +328,14 @@ let stats_fields config =
     ("cache", cache_stats_json config.cache) ]
 
 let metrics_fields () =
-  let doc =
-    Obs.Sink.metrics_json ~span_totals:(Obs.span_totals ()) Obs.metrics
-  in
-  let parsed = match Json.parse doc with Ok j -> j | Error _ -> Json.Null in
-  [ ("metrics", parsed);
+  [ ( "metrics",
+      Obs.Sink.metrics_doc ~span_totals:(Obs.span_totals ()) Obs.metrics );
     ("prometheus", Json.Str (Obs.Sink.prometheus Obs.metrics)) ]
-
-let flight_event_json (seq, (e : Flight.event)) =
-  Json.Obj
-    ([ ("seq", Json.Int seq);
-       ("time", Json.Float e.Flight.time);
-       ("id", Json.Str e.Flight.id);
-       ("op", Json.Str e.Flight.op) ]
-     @ (if e.Flight.root = "" then []
-        else [ ("root", Json.Str e.Flight.root) ])
-     @ [ ( "digests",
-           Json.List (List.map (fun d -> Json.Str d) e.Flight.digests) );
-         ("units_total", Json.Int e.Flight.units_total);
-         ("units_cached", Json.Int e.Flight.units_cached);
-         ("units_solved", Json.Int e.Flight.units_solved);
-         ("warm_lp_hits", Json.Int e.Flight.warm_hits);
-         ("pivots", Json.Int e.Flight.pivots);
-         ("certs_checked", Json.Int e.Flight.certs_checked);
-         ("certs_rejected", Json.Int e.Flight.certs_rejected);
-         ("latency_ms", Json.Float e.Flight.latency_ms) ]
-     @ (match e.Flight.error with
-        | None -> []
-        | Some code -> [ ("error", Json.Str code) ]))
 
 let recent_fields config req =
   let n = Option.value ~default:50 (opt_int req "n") in
   [ ( "events",
-      Json.List (List.map flight_event_json (Flight.recent ~n config.flight)) ) ]
+      Json.List (List.map Flight.event_json (Flight.recent ~n config.flight)) ) ]
 
 let handle_request config ~trace ~req_id ~note req =
   match Json.member "v" req with

@@ -1,4 +1,5 @@
 module Obs = Ipet_obs.Obs
+module Json = Ipet_obs.Json
 
 type config = {
   socket_path : string;

@@ -43,7 +43,7 @@ type dblock = {
   b_fetch_idx : int array;      (* length n+1: i-cache tag index per fetch *)
   b_fetch_line : int array;     (* length n+1: i-cache line per fetch *)
   b_cost : int array;           (* length n: issue + stall-before cycles *)
-  b_calls : dcall array;        (* in occurrence order *)
+  b_calls : dcall array;        (* per instruction; [no_call] off calls *)
   b_term : dterm;
   b_term_taken : int;           (* terminator cycles (taken / any) *)
   b_term_nottaken : int;
@@ -91,9 +91,8 @@ type t = {
   mutable block_hook : (string -> int -> int -> unit) option;
   miss_penalty : int;
   (* profile mode: per-block self cycles (callee time excluded) and per-set
-     i-cache hit/miss tallies. The flag is immutable so the dispatch in
-     [run_block] is a predictable branch; with it off the execution loop is
-     byte-for-byte the unprofiled one. *)
+     i-cache hit/miss tallies. The flag is immutable so each profiling
+     guard in [run_block] is a predictable branch. *)
   profile : bool;
   mutable prof_callee : int;     (* callee cycles within the current block *)
   prof_cycles : int array;       (* per block slot *)
@@ -117,6 +116,10 @@ type t = {
   mutable root_ctx : ctx;
   mutable cur_ctx : ctx;
 }
+
+(* the [b_calls] filler at positions that hold no call *)
+let no_call =
+  { c_slot = -1; c_callee = -1; c_callee_name = ""; c_nargs = 0; c_args = [||] }
 
 let intern table next key =
   match Hashtbl.find_opt table key with
@@ -144,20 +147,20 @@ let decode_block ~mach ~cache_cfg ~dcache ~layout ~func_index ~block_slot
   let issue = Machine.issue_table mach ~dcache b.P.instrs in
   let stall = Machine.stall_table mach b.P.instrs in
   let cost = Array.init n (fun i -> issue.(i) + stall.(i)) in
-  let calls = ref [] in
-  Array.iter
-    (function
+  let calls = Array.make n no_call in
+  let occurrence = ref 0 in
+  Array.iteri
+    (fun i -> function
       | I.Call (_, callee, args) ->
-        let occurrence = List.length !calls in
-        calls :=
-          { c_slot = intern call_slot next_call (fname, b.P.id, occurrence);
+        calls.(i) <-
+          { c_slot = intern call_slot next_call (fname, b.P.id, !occurrence);
             c_callee =
               Option.value ~default:(-1)
                 (Hashtbl.find_opt func_index callee);
             c_callee_name = callee;
             c_nargs = List.length args;
-            c_args = Array.of_list args }
-          :: !calls
+            c_args = Array.of_list args };
+        incr occurrence
       | I.Alu _ | I.Fpu _ | I.Icmp _ | I.Fcmp _ | I.Mov _ | I.Itof _
       | I.Ftoi _ | I.Load _ | I.Store _ -> ())
     b.P.instrs;
@@ -180,7 +183,7 @@ let decode_block ~mach ~cache_cfg ~dcache ~layout ~func_index ~block_slot
     b_fetch_idx = fetch_idx;
     b_fetch_line = fetch_line;
     b_cost = cost;
-    b_calls = Array.of_list (List.rev !calls);
+    b_calls = calls;
     b_term = term;
     b_term_taken = taken;
     b_term_nottaken = nottaken }
@@ -561,6 +564,12 @@ let rec call m fname args =
   m.sp <- m.sp - df.d_frame_words;
   result
 
+(* One body for both modes. With [m.profile] on, a block also tallies its
+   per-set i-cache hits and misses and, at the terminator, is charged its
+   self cycles [delta - callee cycles], so dcache penalties and miss
+   refetches land on the block that incurred them and callee time does
+   not. The flag is immutable, so every guard is a predictable branch and
+   the unprofiled path allocates nothing per block. *)
 and run_block m (df : dfunc) frame block_id =
   if m.fuel <= 0 then raise Out_of_fuel;
   m.fuel <- m.fuel - 1;
@@ -572,99 +581,41 @@ and run_block m (df : dfunc) frame block_id =
   (match m.block_hook with
    | Some hook -> hook df.d_name block_id m.cycle_count
    | None -> ());
-  if m.profile then run_block_profiled m df frame db
-  else begin
-  let instrs = db.b_instrs in
-  let fetch_idx = db.b_fetch_idx in
-  let fetch_line = db.b_fetch_line in
-  let cost = db.b_cost in
-  let tags = m.itags in
-  let n = Array.length instrs in
-  let call_i = ref 0 in
-  for i = 0 to n - 1 do
-    let idx = fetch_idx.(i) and line = fetch_line.(i) in
-    if tags.(idx) = line then m.ihits <- m.ihits + 1
-    else begin
-      tags.(idx) <- line;
-      m.imisses <- m.imisses + 1;
-      m.cycle_count <- m.cycle_count + m.miss_penalty
-    end;
-    m.instr_count <- m.instr_count + 1;
-    m.cycle_count <- m.cycle_count + cost.(i);
-    execute m db frame call_i instrs.(i)
-  done;
-  (* terminator fetch and execution *)
-  let idx = fetch_idx.(n) and line = fetch_line.(n) in
-  if tags.(idx) = line then m.ihits <- m.ihits + 1
-  else begin
-    tags.(idx) <- line;
-    m.imisses <- m.imisses + 1;
-    m.cycle_count <- m.cycle_count + m.miss_penalty
-  end;
-  m.instr_count <- m.instr_count + 1;
-  match db.b_term with
-  | D_jump (target, eslot) ->
-    m.cycle_count <- m.cycle_count + db.b_term_taken;
-    m.edge_counts.(eslot) <- m.edge_counts.(eslot) + 1;
-    let cx = m.cur_ctx in
-    cx.x_edges.(eslot) <- cx.x_edges.(eslot) + 1;
-    run_block m df frame target
-  | D_branch (r, t_tgt, t_slot, f_tgt, f_slot) ->
-    let taken = V.truthy (reg_value frame r) in
-    let target, eslot, tcost =
-      if taken then (t_tgt, t_slot, db.b_term_taken)
-      else (f_tgt, f_slot, db.b_term_nottaken)
-    in
-    m.cycle_count <- m.cycle_count + tcost;
-    m.edge_counts.(eslot) <- m.edge_counts.(eslot) + 1;
-    let cx = m.cur_ctx in
-    cx.x_edges.(eslot) <- cx.x_edges.(eslot) + 1;
-    run_block m df frame target
-  | D_return op ->
-    m.cycle_count <- m.cycle_count + db.b_term_taken;
-    Option.map (operand_value frame) op
-  end
-
-(* the profiled twin of [run_block]'s body: same semantics, plus per-set
-   i-cache tallies and, at the terminator, attribution of the block's self
-   cycles [delta - callee cycles] — so dcache penalties and miss refetches
-   land on the block that incurred them, and callee time does not. *)
-and run_block_profiled m (df : dfunc) frame db =
-  let slot = db.b_slot in
+  let prof = m.profile in
   let c0 = m.cycle_count in
-  m.prof_callee <- 0;
+  if prof then m.prof_callee <- 0;
   let instrs = db.b_instrs in
   let fetch_idx = db.b_fetch_idx in
   let fetch_line = db.b_fetch_line in
   let cost = db.b_cost in
   let tags = m.itags in
   let n = Array.length instrs in
-  let call_i = ref 0 in
   for i = 0 to n - 1 do
     let idx = fetch_idx.(i) and line = fetch_line.(i) in
     if tags.(idx) = line then begin
       m.ihits <- m.ihits + 1;
-      m.line_hits.(idx) <- m.line_hits.(idx) + 1
+      if prof then m.line_hits.(idx) <- m.line_hits.(idx) + 1
     end
     else begin
       tags.(idx) <- line;
       m.imisses <- m.imisses + 1;
-      m.line_misses.(idx) <- m.line_misses.(idx) + 1;
+      if prof then m.line_misses.(idx) <- m.line_misses.(idx) + 1;
       m.cycle_count <- m.cycle_count + m.miss_penalty
     end;
     m.instr_count <- m.instr_count + 1;
     m.cycle_count <- m.cycle_count + cost.(i);
-    execute m db frame call_i instrs.(i)
+    execute m db frame i instrs.(i)
   done;
+  (* terminator fetch and execution *)
   let idx = fetch_idx.(n) and line = fetch_line.(n) in
   if tags.(idx) = line then begin
     m.ihits <- m.ihits + 1;
-    m.line_hits.(idx) <- m.line_hits.(idx) + 1
+    if prof then m.line_hits.(idx) <- m.line_hits.(idx) + 1
   end
   else begin
     tags.(idx) <- line;
     m.imisses <- m.imisses + 1;
-    m.line_misses.(idx) <- m.line_misses.(idx) + 1;
+    if prof then m.line_misses.(idx) <- m.line_misses.(idx) + 1;
     m.cycle_count <- m.cycle_count + m.miss_penalty
   end;
   m.instr_count <- m.instr_count + 1;
@@ -674,8 +625,9 @@ and run_block_profiled m (df : dfunc) frame db =
     m.edge_counts.(eslot) <- m.edge_counts.(eslot) + 1;
     let cx = m.cur_ctx in
     cx.x_edges.(eslot) <- cx.x_edges.(eslot) + 1;
-    m.prof_cycles.(slot) <-
-      m.prof_cycles.(slot) + (m.cycle_count - c0 - m.prof_callee);
+    if prof then
+      m.prof_cycles.(slot) <-
+        m.prof_cycles.(slot) + (m.cycle_count - c0 - m.prof_callee);
     run_block m df frame target
   | D_branch (r, t_tgt, t_slot, f_tgt, f_slot) ->
     let taken = V.truthy (reg_value frame r) in
@@ -687,16 +639,18 @@ and run_block_profiled m (df : dfunc) frame db =
     m.edge_counts.(eslot) <- m.edge_counts.(eslot) + 1;
     let cx = m.cur_ctx in
     cx.x_edges.(eslot) <- cx.x_edges.(eslot) + 1;
-    m.prof_cycles.(slot) <-
-      m.prof_cycles.(slot) + (m.cycle_count - c0 - m.prof_callee);
+    if prof then
+      m.prof_cycles.(slot) <-
+        m.prof_cycles.(slot) + (m.cycle_count - c0 - m.prof_callee);
     run_block m df frame target
   | D_return op ->
     m.cycle_count <- m.cycle_count + db.b_term_taken;
-    m.prof_cycles.(slot) <-
-      m.prof_cycles.(slot) + (m.cycle_count - c0 - m.prof_callee);
-    Option.map (operand_value frame) op
+    if prof then
+      m.prof_cycles.(slot) <-
+        m.prof_cycles.(slot) + (m.cycle_count - c0 - m.prof_callee);
+    match op with None -> None | Some o -> Some (operand_value frame o)
 
-and execute m db frame call_i instr =
+and execute m db frame i instr =
   match instr with
   | I.Alu (op, d, a, b) ->
     let a = int_operand frame a in
@@ -734,8 +688,7 @@ and execute m db frame call_i instr =
   | I.Store (v, a) ->
     mem_write m (effective_addr frame a) (operand_value frame v)
   | I.Call (dst, _, _) ->
-    let dc = db.b_calls.(!call_i) in
-    incr call_i;
+    let dc = db.b_calls.(i) in
     m.call_counts.(dc.c_slot) <- m.call_counts.(dc.c_slot) + 1;
     let cx = m.cur_ctx in
     cx.x_calls.(dc.c_slot) <- cx.x_calls.(dc.c_slot) + 1;
@@ -762,18 +715,11 @@ and execute m db frame call_i instr =
     for i = 0 to nargs - 1 do
       callee_frame.regs.(i) <- operand_value frame args.(i)
     done;
-    let result =
-      if not m.profile then run_block m callee callee_frame 0
-      else begin
-        (* the callee's blocks clobber [prof_callee] for their own calls;
-           charge the whole callee delta to the calling block on return *)
-        let saved = m.prof_callee in
-        let before = m.cycle_count in
-        let r = run_block m callee callee_frame 0 in
-        m.prof_callee <- saved + (m.cycle_count - before);
-        r
-      end
-    in
+    let before = m.cycle_count and saved = m.prof_callee in
+    let result = run_block m callee callee_frame 0 in
+    (* the callee's blocks clobber [prof_callee] for their own calls;
+       charge the whole callee delta to the calling block on return *)
+    if m.profile then m.prof_callee <- saved + (m.cycle_count - before);
     m.sp <- m.sp - callee.d_frame_words;
     m.cur_ctx <- cx;
     (match (dst, result) with

@@ -8,6 +8,7 @@
    leaving variables follow Bland's rule, which prevents cycling. *)
 
 open Ipet_num
+open Ipet_lp
 
 type result =
   | Optimal of { value : Rat.t; assignment : (string * Rat.t) list }

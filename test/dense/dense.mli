@@ -1,11 +1,14 @@
 (** The historical dense-tableau two-phase primal simplex, kept verbatim
-    as a benchmark baseline and differential oracle for {!Revised}. The
-    production entry point is {!Simplex.solve}, which runs the revised
-    sparse solver; this module exists so `bench lp` can measure
-    dense-vs-revised wall times on identical instances and so tests can
-    assert the two produce identical vertices, not just values. *)
+    as a benchmark baseline and differential oracle for
+    {!Ipet_lp.Revised}. It lives outside the shipped [ipet_lp] library:
+    the production entry point is {!Ipet_lp.Simplex.solve}, which runs
+    the revised sparse solver; this module exists so `bench lp` can
+    measure dense-vs-revised wall times on identical instances and so
+    tests can assert the two produce identical vertices, not just
+    values. *)
 
 open Ipet_num
+open Ipet_lp
 
 type result =
   | Optimal of { value : Rat.t; assignment : (string * Rat.t) list }

@@ -13,7 +13,7 @@ module Certify = Ipet_cert.Certify
 module A = Ipet.Analysis
 module Pool = Ipet_par.Pool
 module Bspec = Ipet_suite.Bspec
-module J = Ipet_serve.Json
+module J = Ipet_obs.Json
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)

@@ -4,8 +4,7 @@ module I = Ipet_isa.Instr
 module P = Ipet_isa.Prog
 module Layout = Ipet_isa.Layout
 module Icache = Ipet_machine.Icache
-module Timing = Ipet_machine.Timing
-module Pipeline = Ipet_machine.Pipeline
+module Machine = Ipet_machine.Machine
 module Cost = Ipet_machine.Cost
 
 let check_bool = Alcotest.(check bool)
@@ -57,22 +56,28 @@ let test_lines_spanned () =
 
 (* --- timing / pipeline ---------------------------------------------------- *)
 
+module E32 = (val Machine.e32 : Machine.MACHINE)
+
+(* e32's load-use interlock, in cycles *)
+let e32_load_use_stall = 1
+
 let test_timing_orders () =
   let add = I.Alu (I.Add, 0, I.Reg 1, I.Reg 2) in
   let mul = I.Alu (I.Mul, 0, I.Reg 1, I.Reg 2) in
   let div = I.Alu (I.Div, 0, I.Reg 1, I.Reg 2) in
   let fdiv = I.Fpu (I.Fdiv, 0, I.Reg 1, I.Reg 2) in
-  check_bool "add < mul < div" true (Timing.issue add < Timing.issue mul);
-  check_bool "mul < div" true (Timing.issue mul < Timing.issue div);
-  check_bool "div <= fdiv" true (Timing.issue div <= Timing.issue fdiv)
+  let issue = E32.issue ~dcache:false in
+  check_bool "add < mul < div" true (issue add < issue mul);
+  check_bool "mul < div" true (issue mul < issue div);
+  check_bool "div <= fdiv" true (issue div <= issue fdiv)
 
 let test_term_bounds_enclose_actual () =
   List.iter
     (fun term ->
-      let best, worst = Timing.term_bounds term in
+      let best, worst = E32.term_bounds term in
       List.iter
         (fun taken ->
-          let t = Timing.term_actual term ~taken in
+          let t = E32.term_actual term ~taken in
           check_bool "within bounds" true (best <= t && t <= worst))
         [ true; false ])
     [ I.Jump 0; I.Branch (0, 1, 2); I.Return None ]
@@ -81,17 +86,17 @@ let test_load_use_stall () =
   let load = I.Load (3, { I.base = I.Abs 0; offset = 0; index = None }) in
   let use = I.Alu (I.Add, 4, I.Reg 3, I.Imm 1) in
   let no_use = I.Alu (I.Add, 4, I.Reg 5, I.Imm 1) in
-  check_int "stall" Timing.load_use_stall (Pipeline.stall_after load use);
-  check_int "no stall" 0 (Pipeline.stall_after load no_use);
-  check_int "alu-alu no stall" 0 (Pipeline.stall_after use no_use);
-  check_int "block stalls" Timing.load_use_stall
-    (Pipeline.block_stalls [| load; use; no_use |])
+  check_int "stall" e32_load_use_stall (E32.stall_after load use);
+  check_int "no stall" 0 (E32.stall_after load no_use);
+  check_int "alu-alu no stall" 0 (E32.stall_after use no_use);
+  check_int "block stalls" e32_load_use_stall
+    (Machine.block_stalls Machine.e32 [| load; use; no_use |])
 
 let test_load_use_through_address () =
   (* the stall also applies when the loaded register is an address index *)
   let load = I.Load (3, { I.base = I.Abs 0; offset = 0; index = None }) in
   let use = I.Load (4, { I.base = I.Abs 8; offset = 0; index = Some (I.Reg 3) }) in
-  check_int "address-use stalls" Timing.load_use_stall (Pipeline.stall_after load use)
+  check_int "address-use stalls" e32_load_use_stall (E32.stall_after load use)
 
 (* --- cost bounds ----------------------------------------------------------- *)
 
@@ -131,7 +136,7 @@ let test_cost_includes_stall () =
   let cost p =
     (Cost.func_bounds Icache.i960kb (Layout.make p) p.P.funcs.(0)).(0)
   in
-  check_int "hazard adds exactly the stall" Timing.load_use_stall
+  check_int "hazard adds exactly the stall" e32_load_use_stall
     ((cost prog_hazard).Cost.best - (cost prog_clean).Cost.best)
 
 let test_layout_addresses () =
@@ -258,7 +263,6 @@ let suite =
 
 (* --- machine models -------------------------------------------------------- *)
 
-module Machine = Ipet_machine.Machine
 module E = Ipet_suite.Experiments
 module Suite = Ipet_suite.Suite
 module Bspec = Ipet_suite.Bspec
@@ -278,30 +282,34 @@ let test_machine_of_string () =
     (match Machine.of_string "z80" with Ok _ -> false | Error _ -> true)
 
 let test_e32_is_the_historical_model () =
-  (* the default machine must delegate to Timing/Pipeline verbatim: the
-     byte-identity of every seed golden rests on it *)
+  (* the default machine is the historical hard-wired model: the
+     byte-identity of every seed golden rests on these values *)
   let (module M : Machine.MACHINE) = Machine.e32 in
-  let instrs =
-    [ I.Alu (I.Add, 0, I.Reg 1, I.Reg 2);
-      I.Alu (I.Mul, 0, I.Reg 1, I.Reg 2);
-      I.Alu (I.Div, 0, I.Reg 1, I.Reg 2);
-      I.Fpu (I.Fdiv, 0, I.Reg 1, I.Reg 2);
-      I.Load (3, { I.base = I.Abs 0; offset = 0; index = None });
-      I.Store (I.Reg 1, { I.base = I.Abs 0; offset = 0; index = None });
-      I.Mov (0, I.Imm 7);
-      I.Call (Some 0, "g", []) ]
-  in
+  let addr = { I.base = I.Abs 0; offset = 0; index = None } in
   List.iter
-    (fun i ->
-      check_int "e32 issue = Timing.issue" (Timing.issue i)
-        (M.issue ~dcache:false i))
-    instrs;
+    (fun (i, cycles) ->
+      check_int "e32 historical issue cycles" cycles (M.issue ~dcache:false i))
+    [ (I.Alu (I.Add, 0, I.Reg 1, I.Reg 2), 1);
+      (I.Alu (I.Mul, 0, I.Reg 1, I.Reg 2), 4);
+      (I.Alu (I.Div, 0, I.Reg 1, I.Reg 2), 18);
+      (I.Fpu (I.Fadd, 0, I.Reg 1, I.Reg 2), 4);
+      (I.Fpu (I.Fmul, 0, I.Reg 1, I.Reg 2), 6);
+      (I.Fpu (I.Fdiv, 0, I.Reg 1, I.Reg 2), 20);
+      (I.Fcmp (I.Clt, 0, I.Reg 1, I.Reg 2), 3);
+      (I.Itof (0, I.Reg 1), 3);
+      (I.Load (3, addr), 3);
+      (I.Store (I.Reg 1, addr), 2);
+      (I.Mov (0, I.Imm 7), 1);
+      (I.Call (Some 0, "g", []), 8) ];
+  check_int "e32 dcache load pays only its pipeline base" 2
+    (M.issue ~dcache:true (I.Load (3, addr)));
   check_bool "e32 fetch is the i960KB cache" true (M.fetch = Icache.i960kb);
   List.iter
-    (fun t ->
-      check_bool "e32 term bounds = Timing.term_bounds" true
-        (M.term_bounds t = Timing.term_bounds t))
-    [ I.Jump 0; I.Branch (0, 1, 2); I.Return None ]
+    (fun (t, bounds) ->
+      check_bool "e32 historical term bounds" true (M.term_bounds t = bounds))
+    [ (I.Jump 0, (2, 2));
+      (I.Branch (0, 1, 2), (1, 3));
+      (I.Return None, (7, 7)) ]
 
 let test_m7_timings () =
   let (module M7 : Machine.MACHINE) = Machine.m7 in

@@ -314,6 +314,18 @@ let test_metrics_json_nonfinite () =
       [ "sum"; "max" ]
   | _ -> Alcotest.fail "expected one metric"
 
+(* a gauge is printed as the shortest decimal that reads back as the
+   recorded float, not rounded to six significant digits *)
+let test_metrics_json_exact () =
+  let r = Metrics.create () in
+  Metrics.set_gauge r "test.gauge" 1234567.5;
+  let json = parse_json (Sink.metrics_json ~span_totals:[] r) in
+  match as_arr (field "metrics" json) with
+  | [ m ] ->
+    check_bool "gauge reads back exactly" true
+      (as_num (field "value" m) = 1234567.5)
+  | _ -> Alcotest.fail "expected one metric"
+
 let test_histogram_quantiles () =
   let r = Metrics.create () in
   let h = Metrics.histogram r "latency" in
@@ -633,4 +645,5 @@ let suite =
     ("profiled simulator attribution", `Quick, test_profile_attribution_exact);
     ("attribution report", `Quick, test_attribution_report);
     ("metrics JSON non-finite values are null", `Quick,
-     test_metrics_json_nonfinite) ]
+     test_metrics_json_nonfinite);
+    ("metrics JSON values are exact", `Quick, test_metrics_json_exact) ]

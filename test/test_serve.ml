@@ -4,7 +4,7 @@
    identity, LRU eviction, the request protocol, and a spawned-daemon
    socket round trip. *)
 
-module J = Ipet_serve.Json
+module J = Ipet_obs.Json
 module Key = Ipet_serve.Key
 module Cache = Ipet_serve.Cache
 module Incr = Ipet_serve.Incremental
@@ -214,7 +214,7 @@ let prop_mach_changes_every_key =
       in
       let program_key ~mach =
         Key.program_key ~mach ~cache ~dcache:None ~root:"main"
-          ~annotations:[] ~functional:[] prog
+          ~annotations:[] ~functional:[] ~first_miss:false prog
       in
       Array.for_all
         (fun f -> func_key ~mach:"e32" f <> func_key ~mach:"m7" f)
@@ -1015,6 +1015,62 @@ let test_sigterm_flush () =
            | _ -> false)
       | Error m -> Alcotest.failf "unparsable trace-out: %s" m)
 
+(* the first-miss refinement changes the program unit's ILP, so it is part
+   of the unit's key: alternating a request with and without it must not
+   make each reject the other's cached certificates *)
+let test_first_miss_program_key () =
+  let cache =
+    Cache.create ~dir:(tmp_dir "serve-first-miss-key")
+      ~cap_bytes:(16 * 1024 * 1024)
+  in
+  let spec = Bspec.spec (Ipet_suite.Suite.find "check_data") in
+  check_bool "check_data carries functionality constraints" true
+    (spec.A.functional <> []);
+  let variants =
+    [ { spec with A.first_miss_refinement = false };
+      { spec with A.first_miss_refinement = true } ]
+  in
+  let pass () = List.map (fun s -> Incr.analyze ~cache s) variants in
+  let cold = pass () in
+  let warm = pass () in
+  List.iter2
+    (fun (cold_rep, _) (warm_rep, (w : Incr.stats)) ->
+      check_int "every warm unit is served from the cache" w.Incr.units_total
+        w.Incr.units_cached;
+      check_int "no warm certificate is rejected" 0 w.Incr.certs_rejected;
+      check_string "the warm report is byte-identical" (J.to_string cold_rep)
+        (J.to_string warm_rep))
+    cold warm
+
+(* a flight event's floats survive the JSONL dump exactly, and the dump row
+   is the bytes the [recent] op prints for the same event *)
+let test_flight_dump_exact () =
+  let pc = Protocol.make () in
+  let event =
+    { (flight_event 0) with
+      Flight.time = 1792345678.125;
+      latency_ms = 41.0310617 }
+  in
+  Flight.record pc.Protocol.flight event;
+  let line = String.trim (Flight.dump pc.Protocol.flight) in
+  (match J.parse line with
+   | Ok row ->
+     check_bool "time reads back exactly" true
+       (J.member "time" row = Some (J.Float 1792345678.125));
+     check_bool "latency_ms reads back exactly" true
+       (J.member "latency_ms" row = Some (J.Float 41.0310617))
+   | Error m -> Alcotest.failf "unparsable dump line %s: %s" line m);
+  let response =
+    fst (Protocol.handle_line pc {|{"v":1,"op":"recent","n":1}|})
+  in
+  match
+    Option.bind (Result.to_option (J.parse response)) (fun j ->
+        Option.bind (J.member "events" j) J.to_list)
+  with
+  | Some [ ev ] ->
+    check_string "the dump row is the recent op's row" (J.to_string ev) line
+  | _ -> Alcotest.failf "unexpected recent response: %s" response
+
 let suite =
   [ Alcotest.test_case "json: compound round trip" `Quick test_json_roundtrip;
     Alcotest.test_case "json: non-finite floats print as null" `Quick
@@ -1058,4 +1114,8 @@ let suite =
     Alcotest.test_case "daemon: SIGTERM flushes every sink" `Quick
       test_sigterm_flush;
     Alcotest.test_case "certificates: a tampered program unit heals" `Quick
-      test_program_unit_self_heal ]
+      test_program_unit_self_heal;
+    Alcotest.test_case "key: first-miss requests keep their own program unit"
+      `Quick test_first_miss_program_key;
+    Alcotest.test_case "flight recorder: dump rows are exact and match recent"
+      `Quick test_flight_dump_exact ]

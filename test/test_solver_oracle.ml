@@ -257,7 +257,7 @@ let prop_ilp_matches_box_enumeration =
 
 module Sparse = Ipet_lp.Sparse
 module Revised = Ipet_lp.Revised
-module Dense = Ipet_lp.Dense
+module Dense = Ipet_lp_dense.Dense
 
 let rat a b = Rat.of_ints a b
 
