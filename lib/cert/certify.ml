@@ -22,7 +22,17 @@ let certify ?refactor_every (problem : Lp_problem.t) ~witness ~bound =
         if maximize then c else Rat.neg c)
       inst.Sparse.vars
   in
-  match (Revised.solve_primal ?refactor_every inst ~cost).Revised.verdict with
+  (* start the simplex at the witness: when the relaxation is integral an
+     integral optimum of the ILP is typically an optimal vertex of this LP;
+     one that is not (an interior point of an optimal face) costs the cold
+     solve *)
+  let at = Simplex.assignment_env witness in
+  let run =
+    Revised.solve_primal ?refactor_every ~start:(Array.map at inst.Sparse.vars)
+      inst ~cost
+  in
+  Simplex.record run;
+  match run.Revised.verdict with
   | Revised.Infeasible -> Error "LP relaxation infeasible"
   | Revised.Unbounded -> Error "LP relaxation unbounded"
   | Revised.Optimal sol ->

@@ -270,29 +270,31 @@ let canonical_witness ~pool problem value fallback =
     | Ilp.Optimal { assignment; _ } -> assignment
     | Ilp.Infeasible _ | Ilp.Unbounded _ -> fallback)
 
-(* Certify the winning bound: one un-presolved LP re-solve recovers exact
-   dual multipliers for the original constraint set (Certify), then the
-   trusted checker validates the whole package. Production failure is an
-   analysis error — the ILP was just solved to optimality, so its LP
-   relaxation cannot be infeasible or unbounded — while a rejected
-   certificate is carried in the result for the caller to surface. Only
-   the emit/check times are recorded here: the verdict's metrics belong to
-   whoever surfaces it (Report's [cert.*] gauges, the daemon's
-   [serve.cert.*] counters). *)
+(* Certify the winning bound: one un-presolved LP solve, started at the
+   witness, recovers exact dual multipliers for the original constraint
+   set (Certify), then the trusted checker validates the whole package.
+   Production failure is an analysis error — the ILP was just solved to
+   optimality, so its LP relaxation cannot be infeasible or unbounded —
+   while a rejected certificate is carried in the result for the caller
+   to surface. Only the emit/check spans and times are recorded here: the
+   verdict's metrics belong to whoever surfaces it (Report's [cert.*]
+   gauges, the daemon's [serve.cert.*] counters). *)
 let certify_extreme ~dir_label problem value assignment =
+  let args = [ ("solver", dir_label) ] in
   let produced, emit_seconds =
-    Obs.timed (fun () ->
-        Ipet_cert.Certify.certify problem ~witness:assignment ~bound:value)
+    Obs.span "cert.emit" ~args (fun () ->
+        Obs.timed (fun () ->
+            Ipet_cert.Certify.certify problem ~witness:assignment ~bound:value))
   in
   match produced with
   | Error e -> fail "certificate production failed (%s): %s" dir_label e
   | Ok cert ->
     let verdict, check_seconds =
-      Obs.timed (fun () -> Ipet_cert.Checker.check problem cert)
+      Obs.span "cert.check" ~args (fun () ->
+          Obs.timed (fun () -> Ipet_cert.Checker.check problem cert))
     in
-    let labels = [ ("solver", dir_label) ] in
-    Obs.observe ~labels "cert.emit_seconds" emit_seconds;
-    Obs.observe ~labels "cert.check_seconds" check_seconds;
+    Obs.observe ~labels:args "cert.emit_seconds" emit_seconds;
+    Obs.observe ~labels:args "cert.check_seconds" check_seconds;
     { cert; verdict; emit_seconds; check_seconds }
 
 let solve_extreme ?(canonical = true) ~pool ~certify spec insts problems =

@@ -106,7 +106,9 @@ type certificate = {
           ILP — the problem the reported bound came from *)
   verdict : Ipet_cert.Checker.verdict;
       (** the trusted checker's validation, run eagerly at production *)
-  emit_seconds : float;  (** certificate production time (one LP re-solve) *)
+  emit_seconds : float;
+      (** certificate production time (one LP solve started at the
+          witness) *)
   check_seconds : float; (** trusted-checker validation time *)
 }
 

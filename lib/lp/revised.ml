@@ -12,7 +12,12 @@ type solution = {
 
 type verdict = Optimal of solution | Infeasible | Unbounded
 
-type run = { verdict : verdict; pivots : int; refactors : int }
+type run = {
+  verdict : verdict;
+  pivots : int;
+  refactors : int;
+  from_start : bool;
+}
 
 exception Stuck
 
@@ -243,26 +248,133 @@ let full_cost inst cost =
   Array.blit cost 0 cost_full 0 inst.Sparse.nstruct;
   cost_full
 
-let solve_primal ?upper ?refactor_every inst ~cost =
+(* Crash the support of point [x] (one value per structural column) into
+   the identity basis: every structural column with a positive value and
+   every slack of a row the point leaves slack enters, in column order, on
+   a row whose basic column is outside the support — a basic artificial
+   first, then the smallest row. An entry is one FTRAN and one eta append;
+   nothing is priced. When every support column is placed, the refactored
+   basis reproduces [x] if [x] is a feasible vertex; the caller starts
+   phase 2 from it when it is primal feasible with every basic artificial
+   at zero. [false] (support dependent, or basis infeasible) leaves [st]
+   to be discarded. *)
+let crash st x =
+  let inst = st.inst in
+  let m = inst.Sparse.nrows and nstruct = inst.Sparse.nstruct in
+  let art_start = inst.Sparse.art_start in
+  let act = Array.make m Rat.zero in
+  for j = 0 to nstruct - 1 do
+    if not (Rat.is_zero x.(j)) then begin
+      let c = inst.Sparse.cols.(j) in
+      for k = 0 to Array.length c.Sparse.rows - 1 do
+        let r = c.Sparse.rows.(k) in
+        act.(r) <- Rat.add act.(r) (Rat.mul x.(j) c.Sparse.vals.(k))
+      done
+    end
+  done;
+  (* a slack column is a unit column [v·e_r], so [a·x + v·s = b] gives
+     its value *)
+  let supp =
+    Array.init inst.Sparse.ncols (fun j ->
+        if j < nstruct then Rat.sign x.(j) > 0
+        else if j < art_start then begin
+          let c = inst.Sparse.cols.(j) in
+          let r = c.Sparse.rows.(0) in
+          Rat.sign
+            (Rat.div (Rat.sub inst.Sparse.rhs.(r) act.(r)) c.Sparse.vals.(0))
+          > 0
+        end
+        else false)
+  in
+  let rec enter j =
+    if j >= art_start then true
+    else if (not supp.(j)) || st.status.(j) = Basic then enter (j + 1)
+    else begin
+      Array.fill st.alpha 0 m Rat.zero;
+      load_col st st.alpha j;
+      Basis.ftran st.fac st.alpha;
+      let r = ref (-1) in
+      for i = 0 to m - 1 do
+        let bi = st.basis.(i) in
+        if (not (Rat.is_zero st.alpha.(i))) && not supp.(bi)
+           && (!r < 0 || (bi >= art_start && st.basis.(!r) < art_start))
+        then r := i
+      done;
+      if !r < 0 then false (* dependent on the placed support: no vertex *)
+      else begin
+        let r = !r in
+        let leaving = st.basis.(r) in
+        st.basis.(r) <- j;
+        st.status.(j) <- Basic;
+        st.status.(leaving) <- Lower;
+        Basis.append st.fac ~pivot_row:r ~alpha:st.alpha;
+        st.npivots <- st.npivots + 1;
+        maybe_refactor st;
+        enter (j + 1)
+      end
+    end
+  in
+  enter 0
+  && begin
+    (* every entry pivoted on a nonzero, so this is a basis *)
+    Basis.refactor st.fac
+      ~col_of:(fun j -> inst.Sparse.cols.(j))
+      ~basis:st.basis;
+    st.nrefactors <- st.nrefactors + 1;
+    st.updates <- 0;
+    (* every nonbasic column sits at its lower bound 0 *)
+    Array.blit inst.Sparse.rhs 0 st.beta 0 m;
+    Basis.ftran st.fac st.beta;
+    let ok i =
+      let bi = st.basis.(i) and b = st.beta.(i) in
+      Rat.sign b >= 0
+      && (bi < art_start || Rat.is_zero b)
+      && (match st.up.(bi) with
+          | Some u -> Rat.compare b u <= 0
+          | None -> true)
+    in
+    let rec all i = i >= m || (ok i && all (i + 1)) in
+    all 0
+  end
+
+let solve_primal ?upper ?refactor_every ?start inst ~cost =
   let m = inst.Sparse.nrows and ncols = inst.Sparse.ncols in
   let nstruct = inst.Sparse.nstruct in
   let lo = Array.make ncols Rat.zero in
   let up = Array.make ncols None in
   (match upper with Some u -> Array.blit u 0 up 0 nstruct | None -> ());
-  let status = Array.make ncols Lower in
-  let basis = Array.copy inst.Sparse.row_basis in
-  Array.iter (fun j -> status.(j) <- Basic) basis;
-  let st =
+  let identity () =
+    let status = Array.make ncols Lower in
+    let basis = Array.copy inst.Sparse.row_basis in
+    Array.iter (fun j -> status.(j) <- Basic) basis;
     make_state ?refactor_every inst ~lo ~up ~status ~basis
       ~beta:(Array.copy inst.Sparse.rhs)
   in
+  let st, from_start =
+    match start with
+    | None -> (identity (), false)
+    | Some x ->
+      let st = identity () in
+      if crash st x then (st, true)
+      else begin
+        (* fall back to the cold start; the crash's work still counts *)
+        let cold = identity () in
+        cold.npivots <- st.npivots;
+        cold.nrefactors <- st.nrefactors;
+        (cold, false)
+      end
+  in
   let cost_full = full_cost inst cost in
   let finish verdict =
-    { verdict; pivots = st.npivots; refactors = st.nrefactors }
+    { verdict; pivots = st.npivots; refactors = st.nrefactors; from_start }
   in
   let art_start = inst.Sparse.art_start in
   let feasible =
-    if art_start = ncols then true
+    if from_start then begin
+      drive_out st;
+      true
+    end
+    else if art_start = ncols then true
     else begin
       (* phase 1: maximize -sum(artificials) up to 0 *)
       let cost1 = Array.make ncols Rat.zero in
@@ -320,7 +432,8 @@ let solve_dual ?refactor_every ?max_iters inst ~cost ~lower ~upper ~warm =
     | Some u when Rat.compare lower.(j) u > 0 -> contradictory := true
     | _ -> ()
   done;
-  if !contradictory then { verdict = Infeasible; pivots = 0; refactors = 0 }
+  if !contradictory then
+    { verdict = Infeasible; pivots = 0; refactors = 0; from_start = false }
   else begin
     let lo = Array.make ncols Rat.zero in
     let up = Array.make ncols None in
@@ -357,7 +470,8 @@ let solve_dual ?refactor_every ?max_iters inst ~cost ~lower ~upper ~warm =
     Basis.ftran st.fac st.beta;
     let cost_full = full_cost inst cost in
     let finish verdict =
-      { verdict; pivots = st.npivots; refactors = st.nrefactors }
+      { verdict; pivots = st.npivots; refactors = st.nrefactors;
+        from_start = false }
     in
     let rec loop iter =
       if iter > max_iters then raise Stuck;

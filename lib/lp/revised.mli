@@ -8,7 +8,9 @@
       rule (smallest column with favourable reduced cost), same min-ratio
       leaving rule with ties broken by smallest basic column, same
       drive-artificials-out step — so optimal assignments (not just
-      values) are bit-identical to the historical dense solver.
+      values) are bit-identical to the historical dense solver. Given a
+      known feasible vertex as [start], it crashes that point into the
+      basis instead and runs phase 2 alone from there.
 
     - {!solve_dual}: bounded-variable dual simplex warm-started from a
       caller-supplied basis snapshot, for branch-and-bound children whose
@@ -39,8 +41,12 @@ type verdict = Optimal of solution | Infeasible | Unbounded
 
 type run = {
   verdict : verdict;
-  pivots : int;             (** basis changes, phases 1 and 2 combined *)
+  pivots : int;
+      (** basis changes: the crash's entries and phases 1 and 2 combined *)
   refactors : int;          (** basis refactorizations performed *)
+  from_start : bool;
+      (** phase 2 began at the crash basis of {!solve_primal}'s [start];
+          [false] without a start or when the crash fell back *)
 }
 
 exception Stuck
@@ -52,11 +58,26 @@ exception Stuck
 val solve_primal :
   ?upper:Rat.t option array ->
   ?refactor_every:int ->
+  ?start:Rat.t array ->
   Sparse.t -> cost:Rat.t array -> run
 (** Maximize [cost] (length [nstruct], structural columns only; slack
     costs are zero) over the instance. [upper], when given, has length
     [nstruct] and supplies finite upper bounds for structural variables
-    (handled in the ratio test, never as rows); lower bounds are 0. *)
+    (handled in the ratio test, never as rows); lower bounds are 0.
+
+    [start] (length [nstruct]) is a point to begin from, typically a
+    known optimum. Its support — the structural columns with a positive
+    value and the slacks of the rows it leaves slack — is crashed into
+    the identity basis, one FTRAN and eta append per column and no
+    pricing: each column enters on a row whose basic column is outside
+    the support, a basic artificial first. When every support column
+    enters and the refactored basis is primal feasible with its basic
+    artificials at zero (true of any feasible vertex), phase 1 is
+    skipped: artificials are driven out and Bland's phase 2 runs from
+    that basis. Otherwise — a point that is not a vertex, or not
+    feasible — the solve restarts from the identity basis exactly as
+    without [start]. The verdict and optimal value never depend on
+    [start]; the optimal basis and vertex may. *)
 
 val duals :
   Sparse.t -> cost:Rat.t array -> snapshot -> Rat.t array

@@ -45,7 +45,8 @@ val record : ?pivots:int ref -> ?refactors:int ref -> Revised.run -> unit
 (** Fold a {!Revised} run's pivot/refactorization counts into the global
     counters (and the per-solve refs, when given). {!solve} does this
     itself; callers that drive {!Revised} directly — {!Ilp.solve}'s
-    warm-started branch-and-bound nodes — must call it once per run so
+    warm-started branch-and-bound nodes, the certificate producer — must
+    call it once per run so
     {!pivots} keeps counting every pivot in the process. *)
 
 val pivots : unit -> int

@@ -14,6 +14,11 @@ module A = Ipet.Analysis
 module Pool = Ipet_par.Pool
 module Bspec = Ipet_suite.Bspec
 module J = Ipet_obs.Json
+module R = Ipet_lp.Revised
+module Simplex = Ipet_lp.Simplex
+module Sparse = Ipet_lp.Sparse
+module Machine = Ipet_machine.Machine
+module Obs = Ipet_obs.Obs
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -221,6 +226,24 @@ let prop_mutated_coefficient =
 
 (* --- the whole suite, certified, at two pool sizes ------------------------ *)
 
+(* the LP optimum of [p] in its own direction, from a cold solve *)
+let cold_optimum p =
+  match Simplex.solve p with
+  | Simplex.Optimal { value; _ } -> value
+  | Simplex.Infeasible | Simplex.Unbounded ->
+    Alcotest.fail "LP relaxation has no optimum"
+
+(* the certificate, whose solve started at the witness, proves the same LP
+   optimum a cold solve of the un-presolved problem it names finds;
+   [problems] are the analysis's problems for the certified side *)
+let dual_bound_is_cold_optimum problems (c : A.certificate) =
+  let p =
+    List.find
+      (fun q -> Cert.digest_problem q = c.A.cert.Cert.digest)
+      problems
+  in
+  Rat.equal c.A.cert.Cert.dual_bound (cold_optimum p)
+
 let certified_suite jobs () =
   let pool = Pool.create ~jobs in
   Fun.protect
@@ -230,7 +253,7 @@ let certified_suite jobs () =
         (fun (b : Bspec.t) ->
           let name = b.Bspec.name in
           let r = A.analyze ~pool ~certify:true (Bspec.spec b) in
-          let side what cycles = function
+          let side what cycles problems = function
             | None -> Alcotest.failf "%s: no %s certificate" name what
             | Some (c : A.certificate) ->
               check_bool
@@ -244,10 +267,15 @@ let certified_suite jobs () =
                 (Printf.sprintf "%s: %s certificate certifies the bound" name
                    what)
                 true
-                (Rat.equal c.A.cert.Cert.bound (Rat.of_int cycles))
+                (Rat.equal c.A.cert.Cert.bound (Rat.of_int cycles));
+              check_bool
+                (Printf.sprintf "%s: %s dual bound is the cold LP optimum"
+                   name what)
+                true
+                (dual_bound_is_cold_optimum (problems (Bspec.spec b)) c)
           in
-          side "wcet" r.A.wcet.A.cycles r.A.wcet_cert;
-          side "bcet" r.A.bcet.A.cycles r.A.bcet_cert)
+          side "wcet" r.A.wcet.A.cycles A.wcet_problems r.A.wcet_cert;
+          side "bcet" r.A.bcet.A.cycles A.bcet_problems r.A.bcet_cert)
         Ipet_suite.Suite.all)
 
 (* --- the CLI: --certify with observability on --------------------------- *)
@@ -331,6 +359,168 @@ let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_mutated_dual; prop_mutated_witness; prop_mutated_coefficient ]
 
+(* --- the certificate LP starts at the witness ---------------------------- *)
+
+let certify_ok p ~witness ~bound =
+  match Certify.certify p ~witness ~bound with
+  | Ok c -> c
+  | Error m -> Alcotest.failf "certificate production failed: %s" m
+
+(* the certificate solve folds its pivots into the process counter *)
+let test_cert_pivots_counted () =
+  let spec = Bspec.spec (Ipet_suite.Suite.find "whetstone") in
+  let p = List.hd (A.wcet_problems spec) in
+  match Ilp.solve p with
+  | Ilp.Optimal { value; assignment; _ } ->
+    let before = Simplex.pivots () in
+    ignore (certify_ok p ~witness:assignment ~bound:value);
+    check_bool "certify adds to Simplex.pivots" true
+      (Simplex.pivots () - before > 0)
+  | Ilp.Infeasible _ | Ilp.Unbounded _ -> Alcotest.fail "whetstone unsolved"
+
+(* a trace of a certified analysis shows emission and checking inside the
+   side they certify *)
+let test_cert_spans_nested () =
+  let pool = Pool.create ~jobs:1 in
+  Fun.protect
+    ~finally:(fun () ->
+      Pool.shutdown pool;
+      Obs.disable ();
+      Obs.reset ())
+    (fun () ->
+      List.iter
+        (fun mach ->
+          Obs.reset ();
+          Obs.enable ();
+          let spec = Bspec.spec ~mach (Ipet_suite.Suite.find "check_data") in
+          ignore (A.analyze ~pool ~certify:true spec);
+          let spans = Obs.spans () in
+          let within (outer : Ipet_obs.Span.completed)
+              (inner : Ipet_obs.Span.completed) =
+            outer.tid = inner.tid && outer.depth < inner.depth
+            && outer.start_us <= inner.start_us
+            && inner.start_us + inner.dur_us <= outer.start_us + outer.dur_us
+          in
+          List.iter
+            (fun (side, name) ->
+              let what = Printf.sprintf "%s %s %s" (Machine.id mach) side name in
+              let inner =
+                List.filter
+                  (fun (s : Ipet_obs.Span.completed) ->
+                    s.name = name && List.assoc_opt "solver" s.args = Some side)
+                  spans
+              in
+              check_int (what ^ ": one span") 1 (List.length inner);
+              check_bool (what ^ ": nested under analysis." ^ side) true
+                (List.exists
+                   (fun (s : Ipet_obs.Span.completed) ->
+                     s.name = "analysis." ^ side && within s (List.hd inner))
+                   spans))
+            [ ("wcet", "cert.emit"); ("wcet", "cert.check");
+              ("bcet", "cert.emit"); ("bcet", "cert.check") ])
+        [ Machine.e32; Machine.m7 ])
+
+(* the optimum and a feasible point below it (one count lowered, which
+   every row of the family allows) both certify the same LP optimum, the
+   second after phase 2 pivots; from an infeasible start (every variable
+   at 10, past every cap) the solve either falls back or crashes into some
+   other feasible basis, and finds that optimum too *)
+let prop_any_start_certifies =
+  QCheck.Test.make ~name:"certify from any start proves the same optimum"
+    ~count:60 QCheck.(pair family (int_bound 100))
+    (fun (seedcase, pick) ->
+      let p = random_problem seedcase in
+      match Ilp.solve p with
+      | Ilp.Infeasible _ | Ilp.Unbounded _ -> false
+      | Ilp.Optimal { value; assignment; _ } ->
+        let opt = certify_ok p ~witness:assignment ~bound:value in
+        let positive = List.filter (fun (_, x) -> Rat.sign x > 0) assignment in
+        let lowered, _ = List.nth positive (pick mod List.length positive) in
+        let below =
+          List.map
+            (fun (v, x) -> if v = lowered then (v, Rat.sub x Rat.one) else (v, x))
+            assignment
+        in
+        let below_value =
+          L.eval (Simplex.assignment_env below) p.P.objective
+        in
+        let sub = certify_ok p ~witness:below ~bound:below_value in
+        let inst = Sparse.build ~vars:(P.variables p) p in
+        let cost = Array.map (L.coeff p.P.objective) inst.Sparse.vars in
+        let optimum (run : R.run) =
+          match run.R.verdict with
+          | R.Optimal s -> Some s.R.value
+          | R.Infeasible | R.Unbounded -> None
+        in
+        let past_caps =
+          R.solve_primal
+            ~start:(Array.make (Array.length cost) (Rat.of_int 10))
+            inst ~cost
+        in
+        Checker.gap_closed (Checker.check p opt)
+        && valid (Checker.check p sub)
+        && (not (Checker.gap_closed (Checker.check p sub)))
+        && Rat.equal sub.Cert.dual_bound opt.Cert.dual_bound
+        && Option.equal Rat.equal (optimum past_caps) (Some opt.Cert.dual_bound)
+        && Option.equal Rat.equal
+             (optimum (R.solve_primal inst ~cost))
+             (Some opt.Cert.dual_bound))
+
+let start_run p xs =
+  let inst = Sparse.build ~vars:(P.variables p) p in
+  let cost = Array.map (L.coeff p.P.objective) inst.Sparse.vars in
+  R.solve_primal ~start:(Array.map Rat.of_int xs) inst ~cost
+
+let run_value (run : R.run) =
+  match run.R.verdict with
+  | R.Optimal s -> s.R.value
+  | R.Infeasible | R.Unbounded -> Alcotest.fail "no optimum"
+
+(* max x + y  s.t.  x + y <= 2, x <= 2, y <= 2: (2, 0) and (0, 2) are both
+   optimal, and their midpoint (1, 1) is optimal but no vertex: its
+   support (x, y and both cap slacks) is four columns on three rows, so
+   the crash cannot place them all *)
+let test_midpoint_start_falls_back () =
+  let open L.Infix in
+  let p =
+    P.make P.Maximize
+      (v "x" + v "y")
+      [ P.le (v "x" + v "y") (int 2); P.le (v "x") (int 2);
+        P.le (v "y") (int 2) ]
+  in
+  List.iter
+    (fun (xs, vertex) ->
+      let run = start_run p xs in
+      let what = Printf.sprintf "start (%d, %d)" xs.(0) xs.(1) in
+      check_bool (what ^ ": crash kept iff a vertex") vertex run.R.from_start;
+      check_bool (what ^ ": optimum 2") true
+        (Rat.equal (run_value run) (Rat.of_int 2)))
+    [ ([| 2; 0 |], true); ([| 0; 2 |], true); ([| 1; 1 |], false) ];
+  let c =
+    certify_ok p
+      ~witness:[ ("x", Rat.one); ("y", Rat.one) ]
+      ~bound:(Rat.of_int 2)
+  in
+  check_bool "certified from the midpoint witness, gap closed" true
+    (Checker.gap_closed (Checker.check p c))
+
+(* max x  s.t.  x >= 1, x <= 3 from x = 0: the point violates x >= 1, so
+   the crash keeps that row's artificial basic at 1 and must fall back *)
+let test_infeasible_start_falls_back () =
+  let open L.Infix in
+  let p =
+    P.make P.Maximize (v "x") [ P.ge (v "x") (int 1); P.le (v "x") (int 3) ]
+  in
+  let run = start_run p [| 0 |] in
+  check_bool "crash discarded" false run.R.from_start;
+  check_bool "optimum 3" true (Rat.equal (run_value run) (Rat.of_int 3));
+  check_bool "same as the cold solve" true
+    (Rat.equal (run_value run)
+       (run_value
+          (R.solve_primal
+             (Sparse.build ~vars:[ "x" ] p)
+             ~cost:[| Rat.one |])))
+
 let suite =
   [ ("checker accepts a maximization certificate", `Quick,
      test_checker_accepts);
@@ -344,3 +534,11 @@ let suite =
     ("CLI --certify with --metrics-out and --trace-out", `Quick,
      test_cli_certify_observed) ]
   @ props
+  @ [ ("certify counts its pivots", `Quick, test_cert_pivots_counted);
+      ("cert.emit and cert.check spans nest under their side", `Quick,
+       test_cert_spans_nested);
+      QCheck_alcotest.to_alcotest prop_any_start_certifies;
+      ("a non-vertex start falls back and still certifies", `Quick,
+       test_midpoint_start_falls_back);
+      ("an infeasible start falls back", `Quick,
+       test_infeasible_start_falls_back) ]

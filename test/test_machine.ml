@@ -504,13 +504,14 @@ let test_extended_e32_explicit_matches_default () =
 
 let test_m7_certify_gap_closed () =
   (* every suite benchmark under m7 must produce checker-valid duality
-     certificates with a closed gap, same as the e32 pipeline *)
+     certificates with a closed gap, same as the e32 pipeline, each
+     proving the LP optimum a cold solve finds *)
   List.iter
     (fun (b : Bspec.t) ->
       let spec = Bspec.spec ~mach:Machine.m7 b in
       let result = Ipet.Analysis.analyze ~certify:true spec in
       List.iter
-        (fun (side, c) ->
+        (fun (side, problems, c) ->
           match (c : Ipet.Analysis.certificate option) with
           | None ->
             Alcotest.failf "%s: no %s certificate under m7" b.Bspec.name side
@@ -522,9 +523,16 @@ let test_m7_certify_gap_closed () =
              | Ipet_cert.Checker.Valid _ ->
                check_bool (b.Bspec.name ^ ": m7 " ^ side ^ " gap closed")
                  true
-                 (Ipet_cert.Checker.gap_closed c.Ipet.Analysis.verdict)))
-        [ ("wcet", result.Ipet.Analysis.wcet_cert);
-          ("bcet", result.Ipet.Analysis.bcet_cert) ])
+                 (Ipet_cert.Checker.gap_closed c.Ipet.Analysis.verdict);
+               check_bool
+                 (b.Bspec.name ^ ": m7 " ^ side
+                  ^ " dual bound is the cold LP optimum")
+                 true
+                 (Test_cert.dual_bound_is_cold_optimum problems c)))
+        [ ("wcet", Ipet.Analysis.wcet_problems spec,
+           result.Ipet.Analysis.wcet_cert);
+          ("bcet", Ipet.Analysis.bcet_problems spec,
+           result.Ipet.Analysis.bcet_cert) ])
     Suite.all
 
 let test_jobs_differential_both_machines () =
